@@ -235,24 +235,6 @@ void RapidRouter::observe_opportunity(Bytes capacity, NodeId peer, Time now) {
   grow_slot(per_peer_opportunity_, peer).add(static_cast<double>(capacity));
 }
 
-void RapidRouter::on_contact_batch(const ContactBatch& batch) {
-  // Count how many contacts in the span involve this node; if any do, size
-  // the plan scratch to the full buffer once so the per-contact plan builds
-  // inside the span append without reallocating. Reservation only — the
-  // orderings themselves are still built per contact, so batched dispatch
-  // stays bit-identical to per-event dispatch.
-  std::size_t mine = 0;
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    const Meeting& m = batch.meetings[i];
-    if (m.a == self() || m.b == self()) ++mine;
-  }
-  if (mine == 0) return;
-  const std::size_t held = buffer().count();
-  direct_order_.reserve(held);
-  replication_order_.reserve(held);
-  fallback_scratch_.reserve(held);
-}
-
 void RapidRouter::broadcast_own_row(Time /*now*/) {
   const RouterOracle& oracle = *ctx().oracle;
   const MeetingMatrix::RowPtr& own = matrix_.share_row(self());

@@ -90,12 +90,6 @@ class RapidRouter : public Router {
   // --- Router interface -----------------------------------------------------
   bool on_generate(const Packet& p) override;
   void observe_opportunity(Bytes capacity, NodeId peer, Time now) override;
-  // Batched-dispatch pre-pass: sizes the per-contact plan scratch (direct,
-  // replication and fallback orderings) for the whole span once, so the
-  // batch's contacts never grow them mid-plan. Pure reservation — the SoA
-  // queue walks and utility evaluations are unchanged, keeping batched runs
-  // bit-identical to per-event ones.
-  void on_contact_batch(const ContactBatch& batch) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
   std::optional<PacketId> next_transfer(const ContactContext& contact,
                                         const PeerView& peer) override;

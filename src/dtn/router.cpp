@@ -58,8 +58,6 @@ bool Router::on_generate(const Packet& p) {
 
 void Router::observe_opportunity(Bytes /*capacity*/, NodeId /*peer*/, Time /*now*/) {}
 
-void Router::on_contact_batch(const ContactBatch& /*batch*/) {}
-
 Bytes Router::contact_begin(const PeerView& peer, Time /*now*/, Bytes /*meta_budget*/) {
   // Epoch bump = O(1) clear of this peer's skip marks.
   const auto idx = static_cast<std::size_t>(peer.self());

@@ -136,19 +136,6 @@ struct ContactContext {
   int meeting_index = -1;  // position of this meeting in the schedule
 };
 
-// One dispatch batch of upcoming transfer opportunities, flattened into a
-// span (sim/simulation.h, SimConfig::dispatch_batch): every meeting the
-// engine pumped for the batch, in serial dispatch order. Handed to each
-// involved router through Router::on_contact_batch before the first contact
-// of the batch runs; the meetings then run one at a time through the
-// existing per-contact path, unchanged.
-struct ContactBatch {
-  const Meeting* meetings = nullptr;
-  std::size_t count = 0;
-  Time start = 0;  // time of the first meeting in the span
-  Time end = 0;    // time of the last
-};
-
 enum class ReceiveOutcome {
   kDelivered,          // this node is the destination, first arrival
   kDuplicateDelivery,  // destination already had it
@@ -218,16 +205,6 @@ class Router {
   // size of the transfer opportunity; protocols that track "average size of
   // past transfers" (RAPID Alg. 2 step 3, MaxProp's threshold) observe here.
   virtual void observe_opportunity(Bytes capacity, NodeId peer, Time now);
-
-  // Batched dispatch pre-pass: the engine announces the flat span of
-  // meetings it is about to run (this router appears in at least one of
-  // them) before the first contact of the batch. Advisory only — the
-  // default does nothing and every contact still arrives through the hooks
-  // above, so protocols ignoring batches behave identically. Overrides must
-  // not change routing decisions (batched and per-event runs are
-  // bit-identical by contract); sizing scratch for the span is the intended
-  // use. Never called when SimConfig::dispatch_batch is 0.
-  virtual void on_contact_batch(const ContactBatch& batch);
 
   // Start of a contact. `meta_budget` caps the metadata bytes this side may
   // send (Fig 8 experiments); return the metadata bytes actually used.

@@ -42,9 +42,6 @@ const char* counter_name(Counter c) {
     case Counter::kUtilityForgets: return "utility.forgets";
     case Counter::kUtilityRateHits: return "utility.rate_hits";
     case Counter::kUtilityRateRecomputes: return "utility.rate_recomputes";
-    case Counter::kWheelAdvances: return "wheel.advances";
-    case Counter::kWheelCascades: return "wheel.cascades";
-    case Counter::kWheelSchedules: return "wheel.schedules";
     case Counter::kCount: break;
   }
   return "?";

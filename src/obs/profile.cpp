@@ -16,7 +16,6 @@ const char* phase_name(Phase p) {
     case Phase::kQuery: return "query";
     case Phase::kSnapshot: return "snapshot";
     case Phase::kShardSync: return "shard_sync";
-    case Phase::kWheelAdvance: return "wheel_advance";
     case Phase::kCount: break;
   }
   return "?";

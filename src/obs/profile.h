@@ -36,9 +36,6 @@ enum class Phase : std::uint8_t {
   kSnapshot = 7,   // service engine: snapshot save/restore
   kShardSync = 8,  // sharded engine: coordinator time inside window barriers
                    // (cross-shard dispatch + waiting on shard workers)
-  kWheelAdvance = 9,  // timer-wheel event core: cursor advance on peek and
-                      // head re-indexing after pops (mobility's lazy
-                      // generation nests under this but lands in kMobility)
   kCount
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

@@ -46,7 +46,6 @@ void run_fig3_validation(const FigureDef& fig, const Options& options, SweepExec
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
     spec.sim_threads = sim_thread_count(options);
-    spec.dispatch_batch = dispatch_batch_span(options);
     const SimResult dep = run_instance(scenario, dep_inst, spec);
     const SimResult sim = run_instance(scenario, sim_inst, spec);
     if (dep.delivered == 0 || sim.delivered == 0) continue;
@@ -87,7 +86,6 @@ void run_fig8_metadata_cap(const FigureDef& fig, const Options& options,
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
     spec.sim_threads = sim_thread_count(options);
-    spec.dispatch_batch = dispatch_batch_span(options);
     spec.metadata_cap_fraction = cap;
     specs.push_back(spec);
   }
@@ -126,7 +124,6 @@ void run_fig9_channel_utilization(const FigureDef& fig, const Options& options,
   RunSpec spec;
   spec.protocol = ProtocolKind::kRapid;
   spec.sim_threads = sim_thread_count(options);
-  spec.dispatch_batch = dispatch_batch_span(options);
   const Series series = executor.load_sweep(scenario, loads, {spec})[0];
 
   Table table({"load", "meta/data", "channel utilization", "delivery rate"});
@@ -246,7 +243,6 @@ void run_fig15_fairness(const FigureDef& fig, const Options& options, SweepExecu
       RunSpec spec;
       spec.protocol = ProtocolKind::kRapid;
       spec.sim_threads = sim_thread_count(options);
-      spec.dispatch_batch = dispatch_batch_span(options);
       const SimResult result = run_instance(scenario, inst, spec);
       for (const auto& cohort : cohort_ids) {
         std::vector<double> delays;
@@ -289,7 +285,6 @@ void run_table3_deployment(const FigureDef& fig, const Options& options, SweepEx
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
     spec.sim_threads = sim_thread_count(options);
-    spec.dispatch_batch = dispatch_batch_span(options);
     const SimResult r = run_instance(scenario, inst, spec);
     buses.add(static_cast<double>(inst.active_nodes.size()));
     bytes_per_day.add(static_cast<double>(r.capacity_bytes) / (1024.0 * 1024.0));
@@ -363,7 +358,6 @@ void run_fault_sweep(const FigureDef& fig, const Options& options,
       RunSpec spec;
       spec.protocol = kind;
       spec.sim_threads = sim_thread_count(options);
-      spec.dispatch_batch = dispatch_batch_span(options);
       specs.push_back(spec);
     }
     const std::vector<Series> swept = executor.load_sweep(scenario, {load}, specs);

@@ -202,11 +202,6 @@ int sim_thread_count(const Options& options) {
   return threads <= 0 ? ThreadPool::default_thread_count() : threads;
 }
 
-Time dispatch_batch_span(const Options& options) {
-  const double span = options.get_double("dispatch-batch", 0.0);
-  return span > 0 ? span : 0.0;
-}
-
 ScenarioConfig scenario_for(const FigureDef& fig, const Options& options) {
   const std::string name = options.get_string("scenario", fig.scenario);
   ScenarioConfig config = ScenarioRegistry::global().make(name);
@@ -278,7 +273,6 @@ int run_figure(const FigureDef& fig, const Options& options) {
       spec.protocol = ps.protocol;
       spec.metric = ps.metric;
       spec.sim_threads = sim_thread_count(options);
-      spec.dispatch_batch = dispatch_batch_span(options);
       specs.push_back(spec);
     }
 
@@ -338,8 +332,6 @@ void print_usage() {
          "  --threads=N        parallel sweep execution (results identical to N=1)\n"
          "  --sim-threads=N    shard each simulation across N cores (bit-identical\n"
          "                     to N=1; 0 = one shard per core)\n"
-         "  --dispatch-batch=T batch contact dispatch over spans of T simulated\n"
-         "                     seconds (bit-identical to T=0, per-event dispatch)\n"
          "  --scenario=NAME    override the figure's scenario (see --list)\n"
          "  --days=N --runs=N  trace days / synthetic seeds per point\n"
          "  --loads=a,b,c      override load axis; --buffers-kb=a,b,c buffer axis\n"

@@ -58,10 +58,6 @@ int thread_count(const Options& options);
 // orthogonal to --threads' across-run sweep parallelism. Default 1; 0 means
 // one shard per hardware core.
 int sim_thread_count(const Options& options);
-// The --dispatch-batch flag: batched contact dispatch span in simulated
-// seconds (RunSpec::dispatch_batch). Default 0 = per-event dispatch;
-// any positive span is bit-identical to 0 by the engine's contract.
-Time dispatch_batch_span(const Options& options);
 // Resolves --scenario (default: the figure's scenario) through the registry
 // and applies --days / --runs / --quick run-count overrides.
 ScenarioConfig scenario_for(const FigureDef& fig, const Options& options);

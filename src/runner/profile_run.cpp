@@ -75,7 +75,6 @@ int run_observed_main(const Options& options) {
     RunSpec spec;
     spec.protocol = *protocol;
     spec.sim_threads = sim_thread_count(options);
-    spec.dispatch_batch = dispatch_batch_span(options);
     const std::string metric_name = options.get_string("metric", "avg-delay");
     const std::optional<RoutingMetric> metric = metric_from_string(metric_name);
     if (!metric) {

@@ -262,7 +262,6 @@ SimResult run_instance(const Scenario& scenario, const Instance& instance,
   }
   sim.obs = spec.obs;
   sim.sim_threads = spec.sim_threads;
-  sim.dispatch_batch = spec.dispatch_batch;
   if (instance.make_model)
     return run_simulation(instance.make_model(), instance.workload, factory, sim);
   return run_simulation(instance.schedule, instance.workload, factory, sim);

@@ -164,12 +164,6 @@ struct RunSpec {
   // to serial for every protocol — orthogonal to the sweep executor's
   // across-run threads. CLI: `rapid_bench ... --sim-threads N`.
   int sim_threads = 1;
-  // Batched contact dispatch (SimConfig::dispatch_batch): > 0 drains every
-  // event within that span of simulated seconds into one flat span per
-  // Simulation::step(), announced to routers via on_contact_batch() before
-  // the contacts run. Bit-identical to per-event dispatch for any span.
-  // CLI: `rapid_bench ... --dispatch-batch SECONDS`.
-  Time dispatch_batch = 0;
 };
 
 SimResult run_instance(const Scenario& scenario, const Instance& instance,

@@ -1,10 +1,8 @@
 #include "sim/simulation.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "fault/fault_model.h"
-#include "sim/event_wheel.h"
 #include "sim/shard_exec.h"
 #include "sim/shard_plan.h"
 #include "util/binio.h"
@@ -227,12 +225,16 @@ void Simulation::add_event_source(std::unique_ptr<EventSource> source) {
   if (source == nullptr)
     throw std::invalid_argument("Simulation::add_event_source: null source");
   sources_.push_back(std::move(source));
-  wheel_synced_ = false;
 }
 
 void Simulation::add_tap(MetricTap tap) { taps_.push_back(std::move(tap)); }
 
-std::optional<Simulation::Next> Simulation::peek_next_poll() {
+// The event merge: a linear scan over every source's head. A run has at most
+// four sources (workload, schedule or mobility, faults, service ingest), and
+// finding the next event is well under 1% of a run's wall time, so no
+// priority structure pays for itself — and nothing is indexed that could go
+// stale when a drained source refills (service ingest).
+std::optional<Simulation::Next> Simulation::peek_next() {
   std::optional<Next> best;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const SimEvent* event = sources_[i]->peek();
@@ -244,56 +246,6 @@ std::optional<Simulation::Next> Simulation::peek_next_poll() {
     if (!best.has_value() || event->time < best->event->time) best = Next{i, event};
   }
   return best;
-}
-
-std::optional<Simulation::Next> Simulation::peek_next() {
-  if (config_.event_core == SimConfig::EventCore::kPoll) return peek_next_poll();
-  if (!wheel_synced_) sync_wheel();
-  RAPID_OBS_PHASE(kWheelAdvance);
-  const std::optional<EventWheel::Entry> head = wheel_->peek();
-  if (!head.has_value()) return std::nullopt;
-  // The source's head is stable until pop(), so this re-peek is the cached
-  // event the wheel indexed (mobility's lazy generation already happened at
-  // wheel-insertion time, inside its own kMobility phase scope).
-  return Next{head->id, sources_[head->id]->peek()};
-}
-
-void Simulation::sync_wheel() {
-  if (wheel_ == nullptr) {
-    Time width = config_.wheel_slot_width;
-    if (!(width > 0)) {
-      // Horizon over the level-0+1 window: the whole run fits in the two
-      // cheapest levels, cascades stay rare, far tails overflow gracefully.
-      const Time horizon = duration_ > 0 ? duration_ : Time{1};
-      width = horizon / 4096.0;
-      if (!(width > 0)) width = 1;
-    }
-    wheel_ = std::make_unique<EventWheel>(width);
-  } else {
-    wheel_->clear();
-  }
-  for (std::size_t i = 0; i < sources_.size(); ++i) wheel_resync(i);
-  wheel_synced_ = true;
-}
-
-void Simulation::wheel_resync(std::size_t source) {
-  const SimEvent* head = sources_[source]->peek();
-  if (head == nullptr || (source == fault_source_ && head->time > duration_)) {
-    // Drained — or the unbounded fault stream's head is past the horizon:
-    // park it (set_duration() drops wheel_synced_, so extending the horizon
-    // re-admits it).
-    wheel_->remove(source);
-    return;
-  }
-  wheel_->schedule(source, head->time);
-}
-
-void Simulation::pop_source(std::size_t source) {
-  sources_[source]->pop();
-  if (config_.event_core == SimConfig::EventCore::kWheel && wheel_synced_) {
-    RAPID_OBS_PHASE(kWheelAdvance);
-    wheel_resync(source);
-  }
 }
 
 bool Simulation::admit_event(const SimEvent& event, std::size_t source) {
@@ -368,32 +320,12 @@ void Simulation::dispatch(const SimEvent& event, std::size_t source) {
   for (const MetricTap& tap : taps_) tap(event, metrics_);
 }
 
-Time Simulation::dispatch_span() const {
-  // Per-event observers (taps, the trace ring) see metrics in per-event
-  // order; pump-ahead admission would reorder suppression counts relative
-  // to their tap callbacks, so such runs batch one event at a time — the
-  // same fallback the sharded path takes.
-  if (!taps_.empty() || config_.obs.trace_capacity > 0) return 0;
-  return config_.dispatch_batch > 0 ? config_.dispatch_batch : 0;
-}
-
-// Drains one dispatch batch: the first runnable event anchors it, and every
-// admitted event within dispatch_span() sim-seconds of that anchor (and
-// <= limit) is pumped, then dispatched in pump order. Pump order IS the
-// serial dispatch order, and pump-ahead admission reads only the up/down
-// mask — which only pumped fault events mutate — so batching any span is
-// bit-identical to the classic one-event loop (exactly the argument the
-// sharded window pump rests on).
-bool Simulation::step_batch(Time limit) {
-  const Time span = dispatch_span();
-  batch_.clear();
-  Time batch_end = 0;
+bool Simulation::step_until(Time limit) {
   while (true) {
     const std::optional<Next> next = peek_next();
-    if (!next.has_value() || next->event->time > limit) break;
-    if (!batch_.empty() && next->event->time > batch_end) break;
+    if (!next.has_value() || next->event->time > limit) return false;
     const SimEvent event = *next->event;
-    pop_source(next->source);
+    sources_[next->source]->pop();
     // Events past the day end are dropped, exactly like the legacy merge loop
     // (a day's stragglers carry no weight in the figures).
     if (event.time > duration_) {
@@ -401,51 +333,15 @@ bool Simulation::step_batch(Time limit) {
       continue;
     }
     if (!admit_event(event, next->source)) continue;
-    if (batch_.empty()) batch_end = event.time + span;
-    batch_.push_back(Pumped{event, next->source});
-    if (span <= 0) break;
-  }
-  if (batch_.empty()) return false;
-  if (span > 0 && batch_.size() > 1) {
-    batch_meetings_.clear();
-    for (const Pumped& pe : batch_)
-      if (pe.event.kind == SimEvent::Kind::kMeeting)
-        batch_meetings_.push_back(pe.event.meeting);
-    notify_contact_batch();
-  }
-  for (const Pumped& pe : batch_) dispatch(pe.event, pe.source);
-  return true;
-}
-
-void Simulation::notify_contact_batch() {
-  if (batch_meetings_.empty()) return;
-  ContactBatch view;
-  view.meetings = batch_meetings_.data();
-  view.count = batch_meetings_.size();
-  view.start = batch_meetings_.front().time;
-  view.end = batch_meetings_.back().time;
-  if (batch_seen_.size() != static_cast<std::size_t>(num_nodes_))
-    batch_seen_.assign(static_cast<std::size_t>(num_nodes_), 0);
-  if (++batch_epoch_ == 0) {
-    std::fill(batch_seen_.begin(), batch_seen_.end(), 0);
-    batch_epoch_ = 1;
-  }
-  // First-appearance order: deterministic, and a router hears about the
-  // span before any of its contacts in it run.
-  for (const Meeting& m : batch_meetings_) {
-    for (const NodeId n : {m.a, m.b}) {
-      auto& stamp = batch_seen_[static_cast<std::size_t>(n)];
-      if (stamp == batch_epoch_) continue;
-      stamp = batch_epoch_;
-      routers_[static_cast<std::size_t>(n)]->on_contact_batch(view);
-    }
+    dispatch(event, next->source);
+    return true;
   }
 }
 
 bool Simulation::step() {
   const obs::ContextScope obs_scope(&obs_);
   RAPID_OBS_PHASE(kDispatch);
-  return step_batch(kTimeInfinity);
+  return step_until(kTimeInfinity);
 }
 
 void Simulation::run_until(Time t) {
@@ -457,7 +353,7 @@ void Simulation::run_until(Time t) {
   const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
   {
     RAPID_OBS_PHASE(kDispatch);
-    while (step_batch(t)) {
+    while (step_until(t)) {
     }
   }
   if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
@@ -472,7 +368,7 @@ void Simulation::run() {
   const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
   {
     RAPID_OBS_PHASE(kDispatch);
-    while (step_batch(kTimeInfinity)) {
+    while (step_until(kTimeInfinity)) {
     }
   }
   if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
@@ -509,24 +405,17 @@ void Simulation::run_until_sharded(Time t) {
   auto& batch = shard_->batch;
   const std::size_t window = static_cast<std::size_t>(
       config_.shard_window > 0 ? config_.shard_window : 1);
-  const Time span = dispatch_span();
   while (true) {
     batch.clear();
-    Time window_end = 0;
     {
       RAPID_OBS_PHASE(kDispatch);
       while (batch.size() < window) {
         const std::optional<Next> next = peek_next();
         if (!next.has_value() || next->event->time > t) break;
-        // Windows ride the dispatch-batch spans: a span boundary cuts the
-        // window early, so batched and sharded runs see the same flat
-        // contact spans. Any window boundary is bit-identity-safe (the
-        // executor is order-correct for every windowing).
-        if (span > 0 && !batch.empty() && next->event->time > window_end) break;
         ShardRuntime::WindowEvent we;
         we.event = *next->event;
         we.source = next->source;
-        pop_source(next->source);
+        sources_[next->source]->pop();
         if (we.event.time > duration_) {
           RAPID_OBS_INC(kSimEventsSkipped);
           continue;
@@ -538,20 +427,10 @@ void Simulation::run_until_sharded(Time t) {
         // against the node's meetings by the executor.
         if (!admit_event(we.event, we.source)) continue;
         if (we.event.kind == SimEvent::Kind::kMeeting) we.meeting_index = meeting_index_++;
-        if (batch.empty()) window_end = we.event.time + span;
         batch.push_back(we);
       }
     }
     if (batch.empty()) break;
-    if (span > 0 && batch.size() > 1) {
-      // Same pre-window span notification as the serial batch loop, issued
-      // on the coordinator before any worker touches a router.
-      batch_meetings_.clear();
-      for (const ShardRuntime::WindowEvent& we : batch)
-        if (we.event.kind == SimEvent::Kind::kMeeting)
-          batch_meetings_.push_back(we.event.meeting);
-      notify_contact_batch();
-    }
     execute_window();
     now_ = batch.back().event.time;
   }
@@ -666,7 +545,9 @@ void Simulation::load_state(BinReader& in) {
 void Simulation::fast_forward_sources(Time cutoff) {
   // Per-source skipping is equivalent to replaying the merge: run_until pops
   // every event with time <= cutoff from every source, in whatever order —
-  // including past-duration events, which it pops and then skips.
+  // including past-duration events, which it pops and then skips. The merge
+  // re-peeks every source on the next step, so the moved cursors need no
+  // further bookkeeping.
   const obs::ContextScope obs_scope(&obs_);
   for (const auto& source : sources_) {
     while (true) {
@@ -675,8 +556,6 @@ void Simulation::fast_forward_sources(Time cutoff) {
       source->pop();
     }
   }
-  // Source cursors moved behind the wheel's back; rebuild it lazily.
-  wheel_synced_ = false;
 }
 
 SimResult Simulation::finish() const {
@@ -684,13 +563,6 @@ SimResult Simulation::finish() const {
   // tallies etc.) here, while they are still alive — they are destroyed
   // after finish(), which is why the flush cannot live in their destructors.
   for (const auto& router : routers_) router->flush_obs(obs_);
-  if (wheel_ != nullptr) {
-    // Wheel probes accrue inside the wheel (it knows nothing of obs);
-    // flushed once here like the router-side counters.
-    obs_.metrics.add(obs::Counter::kWheelSchedules, wheel_->schedules());
-    obs_.metrics.add(obs::Counter::kWheelCascades, wheel_->cascades());
-    obs_.metrics.add(obs::Counter::kWheelAdvances, wheel_->advances());
-  }
   SimResult result = metrics_.finalize(workload_, duration_);
   result.obs = std::make_shared<const obs::ObsReport>(obs_.report());
   return result;

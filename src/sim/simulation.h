@@ -20,11 +20,7 @@
 // Determinism contract: an event is taken from the earliest-time source,
 // ties broken by registration order. The built-in workload source registers
 // before the meeting source, which reproduces the legacy merge rule "a
-// packet created at time t is generated before a meeting at time t". The
-// default event core indexes each source's head event in a hierarchical
-// timer wheel (sim/event_wheel.h) instead of polling every source per
-// event; SimConfig::event_core selects the legacy poll for differential
-// testing — the two are bit-identical by construction.
+// packet created at time t is generated before a meeting at time t".
 #pragma once
 
 #include <functional>
@@ -41,8 +37,6 @@
 #include "obs/obs.h"
 
 namespace rapid {
-
-class EventWheel;  // sim/event_wheel.h
 
 struct SimConfig {
   // Buffer capacity is a router property (captured by the factory); the
@@ -74,28 +68,6 @@ struct SimConfig {
   // per policy, and recovering nodes rejoin with stale routing state. The
   // default leaves nodes immortal and adds zero hot-path cost.
   NodeFaultConfig node_faults;
-  // Event-core selection. kWheel (default) indexes each source's head event
-  // in a hierarchical timer wheel (sim/event_wheel.h) so finding the next
-  // event is an O(1)-amortized cursor advance; kPoll is the classic linear
-  // scan over every source per event. Bit-identical by construction (the
-  // wheel preserves the exact (time, registration-order) tie-break); the
-  // poll path stays selectable for differential tests.
-  enum class EventCore { kWheel, kPoll };
-  EventCore event_core = EventCore::kWheel;
-  // Batched contact dispatch: when > 0, step() drains every event within
-  // this many sim-seconds of the batch's first event into a flat span, then
-  // dispatches them in pump order — routers see the span up front through
-  // Router::on_contact_batch before any contact in it runs. 0 (default)
-  // dispatches per event, the classic loop. Results are bit-identical for
-  // any span: pump order is dispatch order, and pump-ahead admission reads
-  // only the fault mask, exactly like the sharded window pump. Runs with
-  // per-event observers (taps, trace ring) fall back to span 0 so those
-  // observers keep seeing per-event metric order. Sharded windows cut at
-  // the same span boundaries.
-  Time dispatch_batch = 0;
-  // Level-0 slot granularity of the event wheel, in sim-seconds; <= 0
-  // derives it from the experiment horizon (duration / 4096).
-  Time wheel_slot_width = 0;
 };
 
 struct SimEvent {
@@ -158,9 +130,7 @@ class Simulation {
   void add_event_source(std::unique_ptr<EventSource> source);
   void add_tap(MetricTap tap);
 
-  // Processes the next dispatch batch — one event when dispatch_batch is 0
-  // (the default), otherwise every event within that span of the first —
-  // and returns false when every source is drained.
+  // Processes the next event; returns false when every source is drained.
   bool step();
   // Processes all events with time <= t (and leaves later ones queued).
   void run_until(Time t);
@@ -175,12 +145,9 @@ class Simulation {
   int num_nodes() const { return num_nodes_; }
   // Open-ended drivers (the service engine) move the horizon as contacts
   // stream in; events past the current duration are skipped, exactly as on a
-  // fixed-horizon run. Invalidates the event wheel: a longer horizon can
-  // un-park the fault source's clipped head, so the wheel resyncs lazily.
-  void set_duration(Time duration) {
-    duration_ = duration;
-    wheel_synced_ = false;
-  }
+  // fixed-horizon run. A longer horizon also releases fault events that the
+  // merge had held back past the old one.
+  void set_duration(Time duration) { duration_ = duration; }
 
   Router& router(NodeId node) { return *routers_[static_cast<std::size_t>(node)]; }
   const MetricsCollector& metrics() const { return metrics_; }
@@ -229,39 +196,10 @@ class Simulation {
     const SimEvent* event;
   };
   std::optional<Next> peek_next();
-  std::optional<Next> peek_next_poll();  // the legacy linear source scan
   void dispatch(const SimEvent& event, std::size_t source);
-
-  // --- timer-wheel event core (sim/event_wheel.h) ---------------------------
-  // The wheel indexes each source by its head-event time; sync_wheel()
-  // rebuilds it from scratch (cheap: one entry per source) whenever the
-  // source set, the horizon, or source cursors changed behind its back
-  // (add_event_source, set_duration, fast_forward_sources, load paths).
-  void sync_wheel();
-  // Re-index source i after its head moved (pop): schedule the new head, or
-  // drop the entry when drained — or when it is the fault source's and past
-  // the horizon (the unbounded fault stream is clipped here, parked until a
-  // set_duration() extends the horizon and resyncs).
-  void wheel_resync(std::size_t source);
-  // pop + wheel re-index, the one way the run loops consume an event.
-  void pop_source(std::size_t source);
-
-  // --- batched contact dispatch ---------------------------------------------
-  // One pumped, admitted event awaiting dispatch.
-  struct Pumped {
-    SimEvent event;
-    std::size_t source = 0;
-  };
-  // The effective batch span for this run: SimConfig::dispatch_batch, or 0
-  // when per-event observers (taps, trace ring) must see per-event order.
-  Time dispatch_span() const;
-  // Drains one batch (every admitted event within dispatch_span() of the
-  // first, times <= limit) and dispatches it in pump order; false when no
-  // event was runnable. Span 0 = the classic one-event loop.
-  bool step_batch(Time limit);
-  // Router::on_contact_batch for every node appearing in batch_meetings_,
-  // in first-appearance order.
-  void notify_contact_batch();
+  // Pops events with time <= limit until one is admitted and dispatches it;
+  // false when no such event is left.
+  bool step_until(Time limit);
 
   // Pump-time half of fault handling, shared by the serial and sharded
   // loops: updates the up/down mask on kFault events and decides whether an
@@ -316,20 +254,6 @@ class Simulation {
 
   std::vector<std::unique_ptr<EventSource>> sources_;
   std::vector<MetricTap> taps_;
-
-  // Timer-wheel event core; built lazily on the first peek (the slot width
-  // derives from the horizon) and rebuilt whenever wheel_synced_ drops.
-  // Null for the whole run under EventCore::kPoll.
-  std::unique_ptr<EventWheel> wheel_;
-  bool wheel_synced_ = false;
-
-  // Batched-dispatch staging (reused across batches, so the steady state
-  // allocates nothing): pumped events, the flat meeting span handed to
-  // on_contact_batch, and an epoch-stamped per-node dedup mark.
-  std::vector<Pumped> batch_;
-  std::vector<Meeting> batch_meetings_;
-  std::vector<std::uint32_t> batch_seen_;
-  std::uint32_t batch_epoch_ = 0;
 
   // Lazily built on the first sharded run()/run_until(); null on serial
   // runs. Owns the shard plan, the window executor and the per-slot

@@ -1,16 +1,10 @@
-// The event-core determinism matrix: SimConfig::EventCore::kWheel (the
-// hierarchical timer wheel) and SimConfig::dispatch_batch (batched contact
-// dispatch) must be pure execution-shape knobs — every combination produces
-// the byte-identical SimResult AND the byte-identical engine snapshot of the
-// serial per-event linear-poll run, the way shard_matrix_test.cpp pins
-// --sim-threads.
+// The event merge's execution-shape invariants: stepping one event at a
+// time, stopping run_until() inside a burst of same-time events, and sharded
+// execution must all reproduce the byte-identical SimResult and engine
+// snapshot of a serial one-shot run().
 //
-// Coverage, per ISSUE 10's satellite: same-slot ties across source kinds
-// (workload packets created at the exact times meetings fire), events
-// exactly on batch/window boundaries, run_until() stopping mid-batch, wheel
-// slot widths from far-finer to far-coarser than the event spacing, the
-// fault source's parked-beyond-duration head, and sharded execution with
-// the wheel and batching both on.
+// The test names predate the removal of the timer wheel and dispatch
+// batching; they now pin the same properties on the single linear merge.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -22,17 +16,9 @@
 #include "sim/experiment.h"
 #include "sim/protocols.h"
 #include "util/binio.h"
-#include "util/rng.h"
 
 namespace rapid {
 namespace {
-
-struct CoreKnobs {
-  SimConfig::EventCore core = SimConfig::EventCore::kWheel;
-  Time dispatch_batch = 0;
-  Time wheel_slot_width = 0;  // 0 = the engine's duration/4096 default
-  int sim_threads = 1;
-};
 
 struct RunOutput {
   SimResult result;
@@ -49,38 +35,6 @@ RunOutput finish_and_snapshot(Simulation& sim) {
   return out;
 }
 
-RunOutput run_case(const Scenario& scenario, const Instance& instance, ProtocolKind protocol,
-                   const CoreKnobs& knobs) {
-  ProtocolParams params = scenario.protocol_params();
-  const RouterFactory factory =
-      make_protocol_factory(protocol, params, scenario.config().buffer_capacity);
-
-  SimConfig sim;
-  sim.contact.charge_metadata = true;
-  sim.contact.link = scenario.config().link;
-  sim.contact.link.seed ^= instance.link_seed;
-  sim.contact.fault = scenario.config().link_fault;
-  sim.contact.fault.seed ^= instance.fault_seed;
-  sim.node_faults = scenario.config().node_faults;
-  sim.node_faults.seed ^= instance.fault_seed;
-  sim.event_core = knobs.core;
-  sim.dispatch_batch = knobs.dispatch_batch;
-  sim.wheel_slot_width = knobs.wheel_slot_width;
-  sim.sim_threads = knobs.sim_threads;
-  if (knobs.sim_threads > 1) sim.shard_window = 61;
-
-  if (instance.make_model) {
-    Simulation simulation(SimBounds{instance.num_nodes, instance.duration}, instance.workload,
-                          factory, sim);
-    simulation.add_event_source(make_mobility_source(instance.make_model()));
-    simulation.run();
-    return finish_and_snapshot(simulation);
-  }
-  Simulation simulation(instance.schedule, instance.workload, factory, sim);
-  simulation.run();
-  return finish_and_snapshot(simulation);
-}
-
 void expect_bit_identical(const RunOutput& baseline, const RunOutput& other,
                           const std::string& label) {
   EXPECT_EQ(baseline.result.total_packets, other.result.total_packets) << label;
@@ -93,94 +47,28 @@ void expect_bit_identical(const RunOutput& baseline, const RunOutput& other,
   EXPECT_EQ(baseline.result.capacity_bytes, other.result.capacity_bytes) << label;
   EXPECT_EQ(baseline.result.drops, other.result.drops) << label;
   EXPECT_EQ(baseline.result.meetings, other.result.meetings) << label;
-  EXPECT_EQ(baseline.result.crashes, other.result.crashes) << label;
-  EXPECT_EQ(baseline.result.recoveries, other.result.recoveries) << label;
-  EXPECT_EQ(baseline.result.meetings_suppressed, other.result.meetings_suppressed) << label;
-  EXPECT_EQ(baseline.result.fault_lost_packets, other.result.fault_lost_packets) << label;
-  EXPECT_EQ(baseline.result.corrupted_transfers, other.result.corrupted_transfers) << label;
   EXPECT_EQ(baseline.result.delivery_time, other.result.delivery_time) << label;
   ASSERT_FALSE(baseline.snapshot.empty()) << label;
   EXPECT_EQ(baseline.snapshot == other.snapshot, true)
       << label << ": engine snapshot bytes diverged";
 }
 
-struct ScenarioCase {
-  const char* name;
-  ScenarioConfig config;
-};
-
-// Trace (dense real meeting times), streamed power-law (lazy mobility
-// generation inside peek), and the trace under crash + corruption faults
-// (the fault source's clipped/parked head and its mid-window mask flips are
-// the hardest ordering clients the wheel has).
-std::vector<ScenarioCase> scenario_cases() {
-  std::vector<ScenarioCase> cases;
-  ScenarioConfig trace = make_trace_scenario();
-  trace.days = 1;
-  cases.push_back({"trace", trace});
-
-  ScenarioConfig powerlaw = make_powerlaw_scenario();
-  powerlaw.stream_mobility = true;
-  powerlaw.synthetic_runs = 1;
-  cases.push_back({"powerlaw-stream", powerlaw});
-
-  ScenarioConfig faulty = make_trace_scenario();
-  faulty.days = 1;
-  faulty.node_faults.mean_uptime = 1.5 * kSecondsPerHour;
-  faulty.node_faults.mean_downtime = 0.4 * kSecondsPerHour;
-  faulty.node_faults.drop_buffers = true;
-  faulty.link_fault.loss_rate = 0.1;
-  faulty.link_fault.loss_spread = 0.5;
-  faulty.link_fault.meta_degrade_rate = 0.2;
-  cases.push_back({"trace-faulty", faulty});
-  return cases;
-}
-
-TEST(EventCore, WheelMatchesPollAcrossSlotWidths) {
-  const Time kWidths[] = {0 /* duration/4096 default */, 1.0, 3600.0};
-  for (const ScenarioCase& sc : scenario_cases()) {
-    const Scenario scenario(sc.config);
-    const Instance instance = scenario.instance(0, 2.0);
-    for (ProtocolKind kind : {ProtocolKind::kRapid, ProtocolKind::kEpidemic}) {
-      CoreKnobs poll;
-      poll.core = SimConfig::EventCore::kPoll;
-      const RunOutput baseline = run_case(scenario, instance, kind, poll);
-      EXPECT_GT(baseline.result.meetings, 0u) << sc.name;
-      if (sc.config.node_faults.enabled())
-        EXPECT_GT(baseline.result.crashes, 0u) << sc.name;
-      for (const Time width : kWidths) {
-        CoreKnobs wheel;
-        wheel.wheel_slot_width = width;
-        const RunOutput got = run_case(scenario, instance, kind, wheel);
-        expect_bit_identical(baseline, got,
-                             std::string(sc.name) + "/" + to_string(kind) + "/width=" +
-                                 std::to_string(width));
-      }
-    }
-  }
-}
-
-TEST(EventCore, BatchedDispatchMatchesPerEventForAnySpan) {
-  const Time kSpans[] = {1.0, 61.0, 3600.0, 1.0e9};
-  for (const ScenarioCase& sc : scenario_cases()) {
-    const Scenario scenario(sc.config);
-    const Instance instance = scenario.instance(0, 2.0);
-    CoreKnobs per_event;  // wheel on, batching off
-    const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, per_event);
-    for (const Time span : kSpans) {
-      CoreKnobs batched;
-      batched.dispatch_batch = span;
-      const RunOutput got = run_case(scenario, instance, ProtocolKind::kRapid, batched);
-      expect_bit_identical(baseline, got,
-                           std::string(sc.name) + "/span=" + std::to_string(span));
-    }
-    // Batching must also be inert under the poll core.
-    CoreKnobs poll_batched;
-    poll_batched.core = SimConfig::EventCore::kPoll;
-    poll_batched.dispatch_batch = 61.0;
-    const RunOutput got = run_case(scenario, instance, ProtocolKind::kRapid, poll_batched);
-    expect_bit_identical(baseline, got, std::string(sc.name) + "/poll+span");
-  }
+RunOutput run_powerlaw_stream(const Scenario& scenario, const Instance& instance,
+                              int sim_threads) {
+  ProtocolParams params = scenario.protocol_params();
+  const RouterFactory factory =
+      make_protocol_factory(ProtocolKind::kRapid, params, scenario.config().buffer_capacity);
+  SimConfig sim;
+  sim.contact.charge_metadata = true;
+  sim.contact.link = scenario.config().link;
+  sim.contact.link.seed ^= instance.link_seed;
+  sim.sim_threads = sim_threads;
+  if (sim_threads > 1) sim.shard_window = 61;  // many window boundaries
+  Simulation simulation(SimBounds{instance.num_nodes, instance.duration}, instance.workload,
+                        factory, sim);
+  simulation.add_event_source(make_mobility_source(instance.make_model()));
+  simulation.run();
+  return finish_and_snapshot(simulation);
 }
 
 TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
@@ -189,26 +77,20 @@ TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
   config.synthetic_runs = 1;
   const Scenario scenario(config);
   const Instance instance = scenario.instance(0, 2.0);
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const RunOutput baseline = run_case(scenario, instance, ProtocolKind::kRapid, poll);
+  ASSERT_TRUE(static_cast<bool>(instance.make_model));
+  const RunOutput baseline = run_powerlaw_stream(scenario, instance, 1);
+  EXPECT_GT(baseline.result.meetings, 0u);
   for (const int threads : {2, 4}) {
-    CoreKnobs sharded;
-    sharded.dispatch_batch = 61.0;
-    sharded.sim_threads = threads;
-    const RunOutput got = run_case(scenario, instance, ProtocolKind::kRapid, sharded);
+    const RunOutput got = run_powerlaw_stream(scenario, instance, threads);
     expect_bit_identical(baseline, got, "threads=" + std::to_string(threads));
   }
 }
 
-// --- Synthetic tie/boundary worlds ----------------------------------------
+// --- Synthetic tie world ----------------------------------------------------
 
-// A hand-built world where every ordering hazard is exact by construction:
-// meetings at integer multiples of the batch span (events exactly ON batch
-// and slot boundaries), several meetings sharing one timestamp (same-slot
-// ties between schedule entries), and packets created at exactly those same
-// times (ties ACROSS source kinds — the workload source registers before
-// the schedule source, so it must win every such tie under both cores).
+// Meetings at multiples of 50 s with several sharing one timestamp, a
+// mid-interval meeting at +25 s, and packets created at exactly the meeting
+// times: every stop time below lands inside, on, or just past such a burst.
 struct TieWorld {
   MeetingSchedule schedule;
   PacketPool workload;
@@ -219,20 +101,19 @@ TieWorld make_tie_world() {
   world.schedule.num_nodes = 6;
   world.schedule.duration = 600;
   for (int k = 1; k <= 11; ++k) {
-    const Time t = static_cast<Time>(k) * 50.0;  // exactly on span boundaries
+    const Time t = static_cast<Time>(k) * 50.0;
     world.schedule.add(0, 1, t, 16_KB);
-    world.schedule.add(2, 3, t, 16_KB);  // exact tie with the previous meeting
+    world.schedule.add(2, 3, t, 16_KB);
     if (k % 2 == 0) world.schedule.add(4, 5, t, 16_KB);
-    world.schedule.add(1, 2, t + 25.0, 16_KB);  // mid-span event
+    world.schedule.add(1, 2, t + 25.0, 16_KB);
   }
   world.schedule.sort();
   for (int k = 0; k <= 11; ++k) {
-    const Time t = static_cast<Time>(k) * 50.0;  // created exactly at meeting times
     Packet p;
     p.src = static_cast<NodeId>(k % 6);
     p.dst = static_cast<NodeId>((k + 3) % 6);
     p.size = 1_KB;
-    p.created = t;
+    p.created = static_cast<Time>(k) * 50.0;
     world.workload.add(p);
   }
   return world;
@@ -246,95 +127,61 @@ RouterFactory tie_factory() {
   return make_protocol_factory(ProtocolKind::kRapid, params, -1);
 }
 
-SimResult run_tie_world(const TieWorld& world, const CoreKnobs& knobs) {
-  SimConfig sim;
-  sim.event_core = knobs.core;
-  sim.dispatch_batch = knobs.dispatch_batch;
-  sim.wheel_slot_width = knobs.wheel_slot_width;
-  Simulation simulation(world.schedule, world.workload, tie_factory(), sim);
+RunOutput run_tie_world_one_shot(const TieWorld& world) {
+  Simulation simulation(world.schedule, world.workload, tie_factory(), SimConfig{});
   simulation.run();
-  return simulation.finish();
+  return finish_and_snapshot(simulation);
 }
 
-void expect_same_result(const SimResult& a, const SimResult& b, const std::string& label) {
-  EXPECT_EQ(a.delivered, b.delivered) << label;
-  EXPECT_EQ(a.data_bytes, b.data_bytes) << label;
-  EXPECT_EQ(a.metadata_bytes, b.metadata_bytes) << label;
-  EXPECT_EQ(a.meetings, b.meetings) << label;
-  EXPECT_EQ(a.drops, b.drops) << label;
-  EXPECT_EQ(a.delivery_time, b.delivery_time) << label;
-}
-
-TEST(EventCore, ExactTiesAndBatchBoundariesAreCoreInvariant) {
-  const TieWorld world = make_tie_world();
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const SimResult baseline = run_tie_world(world, poll);
-  EXPECT_GT(baseline.meetings, 0u);
-  EXPECT_GT(baseline.delivered, 0u);
-
-  // Slot width exactly the meeting spacing, exactly the span, far finer and
-  // far coarser — ties and boundary events must never reorder.
-  struct Case {
-    Time span;
-    Time width;
-  };
-  const Case kCases[] = {{0, 50.0}, {0, 0.001}, {50.0, 50.0}, {50.0, 7.0},
-                         {25.0, 0}, {1.0e9, 600.0}};
-  for (const Case& c : kCases) {
-    CoreKnobs wheel;
-    wheel.dispatch_batch = c.span;
-    wheel.wheel_slot_width = c.width;
-    const SimResult got = run_tie_world(world, wheel);
-    expect_same_result(baseline, got,
-                       "span=" + std::to_string(c.span) + " width=" + std::to_string(c.width));
-  }
+// Number of tie-world events (packets plus meetings) with time <= t.
+std::size_t events_at_or_before(const TieWorld& world, Time t) {
+  std::size_t n = 0;
+  for (const Meeting& m : world.schedule.meetings())
+    if (m.time <= t) ++n;
+  for (const Packet& p : world.workload.all())
+    if (p.created <= t) ++n;
+  return n;
 }
 
 TEST(EventCore, RunUntilStopsMidBatchAndResumesSeamlessly) {
   const TieWorld world = make_tie_world();
-  CoreKnobs poll;
-  poll.core = SimConfig::EventCore::kPoll;
-  const SimResult baseline = run_tie_world(world, poll);
+  const RunOutput baseline = run_tie_world_one_shot(world);
+  EXPECT_GT(baseline.result.meetings, 0u);
+  EXPECT_GT(baseline.result.delivered, 0u);
 
-  SimConfig sim;
-  sim.dispatch_batch = 50.0;
-  Simulation stepped(world.schedule, world.workload, tie_factory(), sim);
-  // Stop times deliberately straddle batch spans (75 is mid-span, 100 lands
-  // exactly on a boundary burst, 130 is just past one): run_until must not
-  // dispatch any event past its limit even when a batch was mid-flight.
+  Simulation stepped(world.schedule, world.workload, tie_factory(), SimConfig{});
+  std::size_t dispatched = 0;
+  stepped.add_tap([&](const SimEvent&, const MetricsCollector&) { ++dispatched; });
+  // 30 falls between bursts, 75 is a lone mid-interval meeting, 100 lands
+  // exactly on a packet-plus-three-meetings tie, 130 is just past one.
+  // run_until must take the whole burst at its limit and nothing after it.
   for (const Time stop : {30.0, 75.0, 100.0, 130.0, 333.0}) {
     stepped.run_until(stop);
     EXPECT_LE(stepped.now(), stop);
+    EXPECT_EQ(dispatched, events_at_or_before(world, stop)) << "stop=" << stop;
   }
   stepped.run();
-  expect_same_result(baseline, stepped.finish(), "stepped mid-batch");
+  expect_bit_identical(baseline, finish_and_snapshot(stepped), "stepped run_until");
 }
 
-// A one-event-per-step walk under batching: step() drains exactly one batch,
-// and the count of steps shrinks as the span grows, while results stay
-// identical — the batch really is coalescing dispatch, not just renaming it.
+// step() dispatches exactly one event per call, same-time ties included, so
+// the step count equals the number of dispatched events; the stepped run is
+// bit-identical to run().
 TEST(EventCore, StepDrainsWholeBatchesAndFewerOfThem) {
   const TieWorld world = make_tie_world();
-  std::size_t steps_unbatched = 0, steps_batched = 0;
-  SimResult unbatched, batched;
-  {
-    SimConfig sim;
-    Simulation s(world.schedule, world.workload, tie_factory(), sim);
-    while (s.step()) ++steps_unbatched;
-    unbatched = s.finish();
+  const RunOutput baseline = run_tie_world_one_shot(world);
+
+  Simulation s(world.schedule, world.workload, tie_factory(), SimConfig{});
+  std::size_t dispatched = 0;
+  s.add_tap([&](const SimEvent&, const MetricsCollector&) { ++dispatched; });
+  std::size_t steps = 0;
+  while (s.step()) {
+    ++steps;
+    EXPECT_EQ(dispatched, steps) << "step " << steps << " dispatched more or less than one event";
   }
-  {
-    SimConfig sim;
-    sim.dispatch_batch = 50.0;
-    Simulation s(world.schedule, world.workload, tie_factory(), sim);
-    while (s.step()) ++steps_batched;
-    batched = s.finish();
-  }
-  EXPECT_GT(steps_unbatched, 0u);
-  EXPECT_LT(steps_batched, steps_unbatched)
-      << "a positive span must coalesce multiple events per step";
-  expect_same_result(unbatched, batched, "stepped batching");
+  EXPECT_TRUE(s.done());
+  EXPECT_EQ(steps, world.schedule.size() + world.workload.size());
+  expect_bit_identical(baseline, finish_and_snapshot(s), "stepped");
 }
 
 }  // namespace

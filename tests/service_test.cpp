@@ -140,6 +140,33 @@ TEST(ServiceEngine, QueriesAndInterimReportsDoNotPerturbTheRun) {
   EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
 }
 
+// A preset horizon with ingest interleaved with advance_to: every contact
+// arrives after the engine has drained the ingest queue, and all of them
+// fall inside the horizon, so advance_to never moves it. The run must match
+// the same contacts ingested up front.
+TEST(ServiceEngine, InterleavedIngestUnderPresetHorizonMatchesUpFrontIngest) {
+  ServiceEngine up_front(tiny_config(), tiny_workload());
+  for (const ContactEvent& c : tiny_contacts()) up_front.ingest(c);
+  up_front.advance_to(600);
+
+  ServiceEngine interleaved(tiny_config(), tiny_workload());
+  for (const ContactEvent& c : tiny_contacts()) {
+    ASSERT_LT(c.time, tiny_config().horizon);
+    interleaved.ingest(c);
+    interleaved.advance_to(c.time);
+  }
+  interleaved.advance_to(600);
+
+  EXPECT_EQ(interleaved.sim().meetings_run(), static_cast<int>(tiny_contacts().size()));
+  EXPECT_EQ(up_front.sim().meetings_run(), interleaved.sim().meetings_run());
+  const std::string path_a = testing::TempDir() + "/service_preset_up_front.bin";
+  const std::string path_b = testing::TempDir() + "/service_preset_interleaved.bin";
+  up_front.snapshot(path_a);
+  interleaved.snapshot(path_b);
+  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
+  expect_same_result(up_front.finish(), interleaved.finish());
+}
+
 TEST(ServiceEngine, SnapshotRestoreSnapshotReproducesTheBytes) {
   ServiceEngine engine(tiny_config(), tiny_workload());
   for (const ContactEvent& c : tiny_contacts()) engine.ingest(c);

@@ -1,10 +1,11 @@
 // Tests for the event-driven Simulation core: step()/run_until() semantics,
 // equivalence with the one-shot run_simulation wrapper, metric taps,
-// pluggable event sources, and the interrupted/asymmetric link policies
-// end-to-end.
+// pluggable event sources, the event merge's tie-break and fault-head
+// clipping, and the interrupted/asymmetric link policies end-to-end.
 #include <gtest/gtest.h>
 
 #include "dtn/workload.h"
+#include "fault/fault_model.h"
 #include "mobility/exponential_model.h"
 #include "sim/engine.h"
 #include "sim/protocols.h"
@@ -310,6 +311,97 @@ TEST(Simulation, KWayMergedMobilitySourcesKeepRegistrationOrderOnTies) {
   const SimResult r = sim.finish();
   EXPECT_EQ(r.meetings, 4u);
   EXPECT_EQ(r.capacity_bytes, 4_KB);
+}
+
+// Exact ties across and within sources: several meetings share each
+// timestamp, and a packet is created at exactly each of those times. The
+// workload source registers before the schedule source, so a packet created
+// at t dispatches before any meeting at t, and same-time meetings dispatch
+// in schedule order.
+TEST(Simulation, ExactTiesDispatchPacketsFirstThenMeetingsInScheduleOrder) {
+  MeetingSchedule schedule;
+  schedule.num_nodes = 6;
+  schedule.duration = 600;
+  for (int k = 1; k <= 11; ++k) {
+    const Time t = static_cast<Time>(k) * 50.0;
+    schedule.add(0, 1, t, 16_KB);
+    schedule.add(2, 3, t, 16_KB);
+    if (k % 2 == 0) schedule.add(4, 5, t, 16_KB);
+    schedule.add(1, 2, t + 25.0, 16_KB);
+  }
+  schedule.sort();
+  PacketPool workload;
+  for (int k = 0; k <= 11; ++k) {
+    Packet p;
+    p.src = static_cast<NodeId>(k % 6);
+    p.dst = static_cast<NodeId>((k + 3) % 6);
+    p.size = 1_KB;
+    p.created = static_cast<Time>(k) * 50.0;
+    workload.add(p);
+  }
+
+  Simulation sim(schedule, workload, factory_for(ProtocolKind::kRapid), SimConfig{});
+  std::vector<SimEvent> order;
+  sim.add_tap([&](const SimEvent& event, const MetricsCollector&) { order.push_back(event); });
+  sim.run();
+
+  std::vector<Meeting> meetings;
+  std::size_t packets = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const SimEvent& e = order[i];
+    if (e.kind == SimEvent::Kind::kMeeting) {
+      meetings.push_back(e.meeting);
+      continue;
+    }
+    ASSERT_EQ(e.kind, SimEvent::Kind::kPacket);
+    ++packets;
+    for (std::size_t j = 0; j < i; ++j)
+      EXPECT_FALSE(order[j].kind == SimEvent::Kind::kMeeting && order[j].time == e.time)
+          << "a meeting at t=" << e.time << " dispatched before a packet created then";
+  }
+  EXPECT_EQ(packets, workload.size());
+  ASSERT_EQ(meetings.size(), schedule.size());
+  for (std::size_t i = 0; i < meetings.size(); ++i) {
+    const Meeting& want = schedule.meetings()[i];
+    EXPECT_EQ(meetings[i].time, want.time) << "meeting " << i;
+    EXPECT_EQ(meetings[i].a, want.a) << "meeting " << i;
+    EXPECT_EQ(meetings[i].b, want.b) << "meeting " << i;
+  }
+}
+
+// The fault stream is unbounded, so the merge holds its head back while it
+// lies past the horizon instead of popping it as a straggler. Extending the
+// horizon with set_duration (what the service engine's advance_to does)
+// releases it.
+TEST(Simulation, FaultHeadPastHorizonStaysParkedUntilSetDurationExtendsIt) {
+  SimConfig config;
+  config.node_faults.mean_uptime = 100;
+  config.node_faults.mean_downtime = 50;
+  const FaultModel model(config.node_faults, 2);
+  const FaultEvent first = model.peek();
+  ASSERT_GT(first.time, 0.0);
+  ASSERT_FALSE(first.up);  // nodes start up, so the first transition is a crash
+
+  PacketPool no_packets;
+  Simulation sim(SimBounds{2, first.time / 2}, no_packets, factory_for(ProtocolKind::kDirect),
+                 config);
+  std::vector<SimEvent> faults;
+  sim.add_tap([&](const SimEvent& event, const MetricsCollector&) {
+    if (event.kind == SimEvent::Kind::kFault) faults.push_back(event);
+  });
+  sim.run();
+  EXPECT_TRUE(faults.empty());
+  EXPECT_TRUE(sim.done());
+  EXPECT_TRUE(sim.node_up(first.node));
+
+  sim.set_duration(first.time);
+  EXPECT_FALSE(sim.done());
+  sim.run();
+  ASSERT_EQ(faults.size(), 1u);
+  EXPECT_EQ(faults[0].time, first.time);
+  EXPECT_EQ(faults[0].fault.node, first.node);
+  EXPECT_FALSE(sim.node_up(first.node));
+  EXPECT_EQ(sim.now(), first.time);
 }
 
 TEST(Simulation, MobilitySourceRejectsOutOfOrderModels) {

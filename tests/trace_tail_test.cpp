@@ -19,7 +19,10 @@ namespace {
 class TraceTailTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/rapid_tail_test.txt";
+    // One file per test: ctest runs the tests of this fixture as parallel
+    // processes, and a shared file would be truncated under a running test.
+    const testing::TestInfo* test = testing::UnitTest::GetInstance()->current_test_info();
+    path_ = testing::TempDir() + "/rapid_tail_test_" + test->name() + ".txt";
     std::ofstream truncate(path_, std::ios::trunc);
   }
 

@@ -9,6 +9,9 @@
 #      src/fault/ must open with a file-level doc comment (its first line is
 #      a // comment), so the core, observability, service and fault-injection
 #      APIs stay self-describing.
+#   3. Every tests/golden/*, tests/data/* or repo-root BENCH_*.json path
+#      named in tests/*.cpp, CMakeLists.txt or .github/workflows/ci.yml must
+#      be tracked by git, so tier-1 and CI pass from a clean clone.
 #
 # Exits non-zero listing every violation. No dependencies beyond bash +
 # coreutils + grep/sed.
@@ -63,8 +66,26 @@ for header in src/core/*.h src/obs/*.h src/service/*.h src/fault/*.h; do
   esac
 done
 
+# --- 3. test inputs named by tests, CMake and CI are tracked ------------------
+
+# A golden file, test data file or committed bench record that exists only in
+# one working tree passes locally and fails from a clean clone. Repo-root
+# BENCH_*.json records only: a name right after a '/' is a CI output path.
+if command -v git > /dev/null 2>&1 && git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  referrers=(tests/*.cpp CMakeLists.txt .github/workflows/ci.yml)
+  inputs=$({
+    grep -ohE 'tests/(golden|data)/[A-Za-z0-9_.-]+' "${referrers[@]}"
+    grep -ohE '(^|[^/A-Za-z0-9_.-])BENCH_[A-Za-z0-9_.-]*\.json' "${referrers[@]}" |
+      sed 's/^[^B]*//'
+  } | sort -u)
+  for input in $inputs; do
+    git ls-files --error-unmatch "$input" > /dev/null 2>&1 ||
+      note_failure "$input: referenced from tests, CMake or CI but not tracked by git"
+  done
+fi
+
 if [ "$failures" -gt 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (markdown links + core/obs/service header doc comments)"
+echo "check_docs: OK (markdown links + header doc comments + tracked test inputs)"
