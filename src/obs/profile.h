@@ -63,7 +63,7 @@ struct PhaseProfile {
 //   total                -     1970.9  100.0   (coverage 97.9%)
 void print_phase_table(std::ostream& os, const PhaseProfile& profile);
 // The same table as a JSON object (stable key order: catalog order plus
-// "other"/"total"), embedded by bench_pr6 and `rapid_bench --metrics`.
+// "other"/"total"), embedded by `rapid_bench --metrics`.
 std::string phase_table_json(const PhaseProfile& profile, int indent = 2);
 
 }  // namespace rapid::obs

@@ -13,7 +13,7 @@ namespace rapid::runner {
 // Flags (all --key=value):
 //   --scenario=NAME      registry scenario (default powerlaw-stream)
 //   --protocol=NAME      rapid | maxprop | spray-wait | prophet | ...
-//   --load=F             workload load (default 0.25, bench_pr5's stream point)
+//   --load=F             workload load (default 0.25, benchmark/'s powerlaw-sat point)
 //   --runs=N             trace days / synthetic seeds to run (default 1)
 //   --threads=N          run seeds in parallel (results independent of N)
 //   --profile            print the per-phase wall-clock table

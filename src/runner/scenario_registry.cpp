@@ -91,8 +91,8 @@ void register_builtins(ScenarioRegistry& registry) {
                 [] { return make_working_day_scenario(); }});
   registry.add({"powerlaw-stream",
                 "2000-node power-law fleet streamed end-to-end (contacts pulled "
-                "lazily, never materialized; peak RSS independent of meeting "
-                "count — see bench_pr5 / BENCH_pr5.json)",
+                "lazily, never materialized; live heap independent of meeting "
+                "count; benchmark/README.md's powerlaw-sat workload)",
                 [] {
                   ScenarioConfig config = make_powerlaw_scenario();
                   config.stream_mobility = true;
@@ -169,8 +169,7 @@ void register_builtins(ScenarioRegistry& registry) {
                   return config;
                 }});
   registry.add({"powerlaw-stream-faulty",
-                "powerlaw-stream under node crashes and 5% link corruption: "
-                "the fault probes' operating point for bench_pr9",
+                "powerlaw-stream under node crashes and 5% link corruption",
                 [] {
                   // Same operating point as powerlaw-stream (keep in sync),
                   // with the fault processes switched on.
