@@ -119,9 +119,10 @@ namespace {
 
 // Flat scratch for the frontier relaxation in hop_row(). One instance per
 // thread serves every matrix on that thread (the relaxation never nests),
-// so a 2000-node fleet carries one set of buffers per shard thread instead
-// of per node. `mark`/`best` are epoch-stamped: bumping `epoch` resets them
-// in O(1) between rounds.
+// so a 2000-node fleet carries one set of buffers per sweep thread instead
+// of per node; it is thread-local because --threads runs simulations
+// concurrently. `mark`/`best` are epoch-stamped: bumping `epoch` resets
+// them in O(1) between rounds.
 struct RelaxScratch {
   std::vector<NodeId> frontier;       // rows whose dist improved last round
   std::vector<NodeId> next_frontier;  // rows improving this round, discovery order

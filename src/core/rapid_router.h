@@ -101,13 +101,6 @@ class RapidRouter : public Router {
   // tracked-packet high-water mark) into the run's registry.
   void flush_obs(obs::ObsContext& out) const override;
 
-  // The instant-global-control-channel mode reaches every other router
-  // (oracle walks, shared GlobalChannel) on each event, so it cannot be
-  // partitioned; the sharded engine runs it serially.
-  bool shard_safe() const override {
-    return config_.control != ControlChannelMode::kGlobalOracle;
-  }
-
   // Snapshot/restore: meeting matrix (with shared row versions interned),
   // metadata ledger, sync stamps, opportunity averages and — in global-oracle
   // mode — the shared channel, serialized once by whichever router saves

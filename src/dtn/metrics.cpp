@@ -70,47 +70,6 @@ Time MetricsCollector::delivery_time(PacketId id) const {
   return delivery_time_.at(static_cast<std::size_t>(id));
 }
 
-void MetricsCollector::drain_from(MetricsCollector& shard) {
-  if (shard.delivery_time_.size() != delivery_time_.size())
-    throw std::logic_error("MetricsCollector::drain_from: collectors sized differently");
-  for (std::size_t i = 0; i < shard.delivery_time_.size(); ++i) {
-    const Time when = shard.delivery_time_[i];
-    if (when == kTimeInfinity) continue;
-    if (delivery_time_[i] != kTimeInfinity)
-      throw std::logic_error("MetricsCollector: duplicate delivery recorded");
-    delivery_time_[i] = when;
-    shard.delivery_time_[i] = kTimeInfinity;
-  }
-  data_bytes_ += shard.data_bytes_;
-  metadata_bytes_ += shard.metadata_bytes_;
-  capacity_bytes_ += shard.capacity_bytes_;
-  meetings_ += shard.meetings_;
-  drops_ += shard.drops_;
-  ack_purges_ += shard.ack_purges_;
-  partial_transfers_ += shard.partial_transfers_;
-  partial_bytes_ += shard.partial_bytes_;
-  crashes_ += shard.crashes_;
-  recoveries_ += shard.recoveries_;
-  meetings_suppressed_ += shard.meetings_suppressed_;
-  fault_lost_packets_ += shard.fault_lost_packets_;
-  corrupted_transfers_ += shard.corrupted_transfers_;
-  corrupted_bytes_ += shard.corrupted_bytes_;
-  shard.data_bytes_ = 0;
-  shard.metadata_bytes_ = 0;
-  shard.capacity_bytes_ = 0;
-  shard.meetings_ = 0;
-  shard.drops_ = 0;
-  shard.ack_purges_ = 0;
-  shard.partial_transfers_ = 0;
-  shard.partial_bytes_ = 0;
-  shard.crashes_ = 0;
-  shard.recoveries_ = 0;
-  shard.meetings_suppressed_ = 0;
-  shard.fault_lost_packets_ = 0;
-  shard.corrupted_transfers_ = 0;
-  shard.corrupted_bytes_ = 0;
-}
-
 void MetricsCollector::save(BinWriter& out) const {
   out.tag("METR");
   std::uint64_t delivered = 0;

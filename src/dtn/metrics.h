@@ -117,15 +117,6 @@ class MetricsCollector {
   bool is_delivered(PacketId id) const;
   Time delivery_time(PacketId id) const;
 
-  // Sharded execution support (sim/shard_exec.h): per-shard collectors
-  // accrue during the parallel phases and drain into the run's collector
-  // when a sharded run() / run_until() returns. Every count is a sum and a
-  // packet is delivered at most once globally, so the merged state is
-  // identical to serial accrual whatever order shards drain in. Resets
-  // `shard` (counters zeroed, delivery table re-blanked) for reuse; both
-  // collectors must have been begun from the same pool.
-  void drain_from(MetricsCollector& shard);
-
   // Builds the aggregate view; `end_time` is the day end used to charge
   // undelivered packets their in-system residence time.
   SimResult finalize(const PacketPool& pool, Time end_time) const;

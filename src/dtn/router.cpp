@@ -9,26 +9,12 @@ namespace rapid {
 
 namespace {
 
-thread_local const ShardBindings* tls_shard_bindings = nullptr;
-
-// The metrics sink for the calling thread: the shard binding's collector
-// while a shard worker phase is active, the SimContext's otherwise.
+// The run's metrics collector, or null for a router built without one.
 MetricsCollector* metrics_sink(const SimContext* ctx) {
-  const ShardBindings* bindings = tls_shard_bindings;
-  if (bindings != nullptr && bindings->metrics != nullptr) return bindings->metrics;
   return ctx != nullptr ? ctx->metrics : nullptr;
 }
 
 }  // namespace
-
-ShardBindingScope::ShardBindingScope(const ShardBindings* bindings)
-    : prev_(tls_shard_bindings) {
-  tls_shard_bindings = bindings;
-}
-
-ShardBindingScope::~ShardBindingScope() { tls_shard_bindings = prev_; }
-
-const ShardBindings* current_shard_bindings() { return tls_shard_bindings; }
 
 Router::Router(NodeId self, Bytes buffer_capacity, const SimContext* ctx)
     : self_(self),
@@ -44,8 +30,6 @@ Router::Router(NodeId self, Bytes buffer_capacity, const SimContext* ctx)
 }
 
 ScratchArena& Router::arena() const {
-  const ShardBindings* bindings = tls_shard_bindings;
-  if (bindings != nullptr && bindings->arena != nullptr) return *bindings->arena;
   if (ctx_ != nullptr && ctx_->arena != nullptr) return *ctx_->arena;
   if (own_arena_ == nullptr) own_arena_ = std::make_unique<ScratchArena>();
   return *own_arena_;

@@ -64,34 +64,6 @@ struct ScratchArena {
   std::vector<std::pair<PacketId, const PacketMetadata*>> changed;  // delta exchange
 };
 
-// Per-thread execution bindings installed by the sharded engine
-// (sim/shard_exec.h): while a shard worker runs its parallel phase, routers
-// reach that shard's private MetricsCollector and ScratchArena through the
-// calling thread's binding instead of the SimContext's shared instances, so
-// shards never contend on shared accounting state. Null outside sharded
-// execution — the serial path pays one thread-local load and is otherwise
-// untouched.
-struct ShardBindings {
-  MetricsCollector* metrics = nullptr;
-  ScratchArena* arena = nullptr;
-};
-
-// RAII installer of the calling thread's ShardBindings; restores the
-// previous binding on destruction, so scopes nest.
-class ShardBindingScope {
- public:
-  explicit ShardBindingScope(const ShardBindings* bindings);
-  ~ShardBindingScope();
-  ShardBindingScope(const ShardBindingScope&) = delete;
-  ShardBindingScope& operator=(const ShardBindingScope&) = delete;
-
- private:
-  const ShardBindings* prev_;
-};
-
-// The calling thread's active bindings, or null.
-const ShardBindings* current_shard_bindings();
-
 // Global-knowledge escape hatch. Regular protocols must not reach other
 // nodes' routers — everything they may know about a peer travels through the
 // PeerView of an open session. The oracle exists for the instant-global-
@@ -248,14 +220,6 @@ class Router {
   // Eviction policy: which buffered packet to drop to make room for
   // `incoming` (kNoPacket = refuse to drop anything, rejecting the packet).
   virtual PacketId choose_drop_victim(const Packet& incoming, Time now) = 0;
-
-  // Whether this router's event processing is a pure function of its own
-  // state plus the PeerView of an open session. True for every in-band
-  // protocol; the instant-global-control-channel modes (which reach other
-  // routers through the oracle on every event) return false, and the
-  // sharded engine then falls back to serial execution — global causality
-  // on every event leaves nothing to run in parallel.
-  virtual bool shard_safe() const { return true; }
 
   // Observability flush, called once by Simulation::finish(): protocols that
   // keep internal probe counters (e.g. RapidRouter's utility-cache stats)

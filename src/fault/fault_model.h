@@ -2,11 +2,10 @@
 //
 // Each node draws an alternating sequence of exponential uptime/downtime
 // phases from its own sub-stream (Rng(seed).split("node-fault", node)), so a
-// node's fault schedule depends only on (seed, node) — adding nodes, changing
-// protocols, or resharding the run never perturbs it. The per-node streams
-// merge through a binary heap into one time-ordered sequence; ties break
-// toward the lower node id, so the merged order is a pure function of the
-// config too.
+// node's fault schedule depends only on (seed, node) — adding nodes or
+// changing protocols never perturbs it. The per-node streams merge through
+// a binary heap into one time-ordered sequence; ties break toward the lower
+// node id, so the merged order is a pure function of the config too.
 //
 // make_fault_source wraps a FaultModel as a Simulation EventSource emitting
 // SimEvent::Kind::kFault events. The Simulation registers it itself when

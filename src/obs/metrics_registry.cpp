@@ -30,8 +30,6 @@ const char* counter_name(Counter c) {
     case Counter::kServiceQueries: return "service.queries";
     case Counter::kServiceSnapshotBytes: return "service.snapshot_bytes";
     case Counter::kServiceSnapshots: return "service.snapshots";
-    case Counter::kShardCrossMeetings: return "shard.cross_meetings";
-    case Counter::kShardWindows: return "shard.windows";
     case Counter::kSimEventsFault: return "sim.events.fault";
     case Counter::kSimEventsMeeting: return "sim.events.meeting";
     case Counter::kSimEventsPacket: return "sim.events.packet";
@@ -85,23 +83,6 @@ void Histogram::observe(std::uint64_t value) {
   if (value > max) max = value;
   ++count;
   sum += value;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.count == 0) return;
-  for (int i = 0; i < kBuckets; ++i) buckets[static_cast<std::size_t>(i)] +=
-      other.buckets[static_cast<std::size_t>(i)];
-  if (count == 0 || other.min < min) min = other.min;
-  if (other.max > max) max = other.max;
-  count += other.count;
-  sum += other.sum;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (std::size_t i = 0; i < counters_.size(); ++i) counters_[i] += other.counters_[i];
-  for (std::size_t i = 0; i < gauges_.size(); ++i)
-    if (other.gauges_[i] > gauges_[i]) gauges_[i] = other.gauges_[i];
-  for (std::size_t i = 0; i < hists_.size(); ++i) hists_[i].merge(other.hists_[i]);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

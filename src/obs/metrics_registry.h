@@ -2,8 +2,8 @@
 // cost. Metric identities are a compile-time catalog (the enums below), so a
 // hot-path increment is one array index into a flat slot table — no name
 // hashing, no locks, no allocation. One MetricsRegistry instance belongs to
-// one run (ObsContext); the runner aggregates per-run instances after the
-// fact with merge(), which is why the registry itself never synchronizes.
+// one run (ObsContext) and is only touched by the thread running it, which
+// is why the registry itself never synchronizes.
 //
 // Snapshots render the slots back into their catalog names in stable
 // (lexicographically sorted) key order, so JSON dumps diff cleanly and sweep
@@ -19,7 +19,7 @@
 
 namespace rapid::obs {
 
-// Monotonic event counts (merge = sum).
+// Monotonic event counts.
 enum class Counter : std::uint16_t {
   kContactDataBytes,
   kContactDeliveries,
@@ -45,8 +45,6 @@ enum class Counter : std::uint16_t {
   kServiceQueries,
   kServiceSnapshotBytes,
   kServiceSnapshots,
-  kShardCrossMeetings,
-  kShardWindows,
   kSimEventsFault,
   kSimEventsMeeting,
   kSimEventsPacket,
@@ -60,8 +58,8 @@ enum class Counter : std::uint16_t {
   kCount
 };
 
-// Level samples kept as the maximum observed value (merge = max): high-water
-// marks such as tracked-packet table sizes or trace-buffer occupancy.
+// Level samples kept as the maximum observed value: high-water marks such as
+// tracked-packet table sizes or trace-buffer occupancy.
 enum class Gauge : std::uint16_t {
   kPoolMaxQueueDepth,
   kTraceEvents,
@@ -69,8 +67,8 @@ enum class Gauge : std::uint16_t {
   kCount
 };
 
-// Power-of-two bucketed distributions (merge = per-bucket sum). Bucket i
-// counts values whose bit width is i (value 0 lands in bucket 0).
+// Power-of-two bucketed distributions. Bucket i counts values whose bit
+// width is i (value 0 lands in bucket 0).
 enum class Hist : std::uint16_t {
   kContactCapacityBytes,
   kContactTransferBytes,
@@ -90,7 +88,6 @@ struct Histogram {
   std::uint64_t max = 0;
 
   void observe(std::uint64_t value);
-  void merge(const Histogram& other);
 };
 
 // One flattened (name, value) pair of a snapshot. Histograms flatten into
@@ -125,10 +122,6 @@ class MetricsRegistry {
   std::uint64_t counter(Counter c) const { return counters_[static_cast<std::size_t>(c)]; }
   std::uint64_t gauge(Gauge g) const { return gauges_[static_cast<std::size_t>(g)]; }
   const Histogram& hist(Hist h) const { return hists_[static_cast<std::size_t>(h)]; }
-
-  // Runner-side aggregation of per-run instances: counters and histogram
-  // buckets sum, gauges keep the maximum.
-  void merge(const MetricsRegistry& other);
 
   MetricsSnapshot snapshot() const;
 

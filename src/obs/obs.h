@@ -8,8 +8,7 @@
 // router/contact call chain and never takes a lock: a counter bump is a TLS
 // load, a branch, and an array increment. Runs execute one per thread (the
 // sweep executor's cells), so per-run contexts are unsynchronized by
-// construction and the runner aggregates them afterwards with
-// MetricsRegistry::merge.
+// construction.
 //
 // Everything here is compiled out when the CMake option RAPID_OBS is OFF
 // (RAPID_OBS_ENABLED == 0): the macros expand to nothing and the context

@@ -15,7 +15,6 @@ const char* phase_name(Phase p) {
     case Phase::kIngest: return "ingest";
     case Phase::kQuery: return "query";
     case Phase::kSnapshot: return "snapshot";
-    case Phase::kShardSync: return "shard_sync";
     case Phase::kCount: break;
   }
   return "?";

@@ -34,8 +34,6 @@ enum class Phase : std::uint8_t {
   kIngest = 5,     // service engine: contact ingest (tail polls included)
   kQuery = 6,      // service engine: mid-stream queries
   kSnapshot = 7,   // service engine: snapshot save/restore
-  kShardSync = 8,  // sharded engine: coordinator time inside window barriers
-                   // (cross-shard dispatch + waiting on shard workers)
   kCount
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kCount);

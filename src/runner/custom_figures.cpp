@@ -45,7 +45,6 @@ void run_fig3_validation(const FigureDef& fig, const Options& options, SweepExec
 
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
-    spec.sim_threads = sim_thread_count(options);
     const SimResult dep = run_instance(scenario, dep_inst, spec);
     const SimResult sim = run_instance(scenario, sim_inst, spec);
     if (dep.delivered == 0 || sim.delivered == 0) continue;
@@ -85,7 +84,6 @@ void run_fig8_metadata_cap(const FigureDef& fig, const Options& options,
   for (double cap : caps) {
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
-    spec.sim_threads = sim_thread_count(options);
     spec.metadata_cap_fraction = cap;
     specs.push_back(spec);
   }
@@ -123,7 +121,6 @@ void run_fig9_channel_utilization(const FigureDef& fig, const Options& options,
                             : std::vector<double>{5, 10, 20, 30, 45, 60, 75});
   RunSpec spec;
   spec.protocol = ProtocolKind::kRapid;
-  spec.sim_threads = sim_thread_count(options);
   const Series series = executor.load_sweep(scenario, loads, {spec})[0];
 
   Table table({"load", "meta/data", "channel utilization", "delivery rate"});
@@ -242,7 +239,6 @@ void run_fig15_fairness(const FigureDef& fig, const Options& options, SweepExecu
 
       RunSpec spec;
       spec.protocol = ProtocolKind::kRapid;
-      spec.sim_threads = sim_thread_count(options);
       const SimResult result = run_instance(scenario, inst, spec);
       for (const auto& cohort : cohort_ids) {
         std::vector<double> delays;
@@ -284,7 +280,6 @@ void run_table3_deployment(const FigureDef& fig, const Options& options, SweepEx
     const Instance inst = scenario.instance(day, 4.0);
     RunSpec spec;
     spec.protocol = ProtocolKind::kRapid;
-    spec.sim_threads = sim_thread_count(options);
     const SimResult r = run_instance(scenario, inst, spec);
     buses.add(static_cast<double>(inst.active_nodes.size()));
     bytes_per_day.add(static_cast<double>(r.capacity_bytes) / (1024.0 * 1024.0));
@@ -357,7 +352,6 @@ void run_fault_sweep(const FigureDef& fig, const Options& options,
     for (const auto& [kind, name] : protocols) {
       RunSpec spec;
       spec.protocol = kind;
-      spec.sim_threads = sim_thread_count(options);
       specs.push_back(spec);
     }
     const std::vector<Series> swept = executor.load_sweep(scenario, {load}, specs);

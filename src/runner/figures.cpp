@@ -197,11 +197,6 @@ int thread_count(const Options& options) {
   return threads <= 0 ? ThreadPool::default_thread_count() : threads;
 }
 
-int sim_thread_count(const Options& options) {
-  const int threads = static_cast<int>(options.get_int("sim-threads", 1));
-  return threads <= 0 ? ThreadPool::default_thread_count() : threads;
-}
-
 ScenarioConfig scenario_for(const FigureDef& fig, const Options& options) {
   const std::string name = options.get_string("scenario", fig.scenario);
   ScenarioConfig config = ScenarioRegistry::global().make(name);
@@ -272,7 +267,6 @@ int run_figure(const FigureDef& fig, const Options& options) {
       RunSpec spec;
       spec.protocol = ps.protocol;
       spec.metric = ps.metric;
-      spec.sim_threads = sim_thread_count(options);
       specs.push_back(spec);
     }
 
@@ -330,8 +324,6 @@ void print_usage() {
          "                                      see docs/SERVICE.md\n\n"
          "flags:\n"
          "  --threads=N        parallel sweep execution (results identical to N=1)\n"
-         "  --sim-threads=N    shard each simulation across N cores (bit-identical\n"
-         "                     to N=1; 0 = one shard per core)\n"
          "  --scenario=NAME    override the figure's scenario (see --list)\n"
          "  --days=N --runs=N  trace days / synthetic seeds per point\n"
          "  --loads=a,b,c      override load axis; --buffers-kb=a,b,c buffer axis\n"

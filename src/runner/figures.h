@@ -54,10 +54,6 @@ const FigureDef* find_figure(const std::string& id);
 
 // Option plumbing shared by declarative and custom figures.
 int thread_count(const Options& options);
-// The --sim-threads flag: in-run shard parallelism (RunSpec::sim_threads),
-// orthogonal to --threads' across-run sweep parallelism. Default 1; 0 means
-// one shard per hardware core.
-int sim_thread_count(const Options& options);
 // Resolves --scenario (default: the figure's scenario) through the registry
 // and applies --days / --runs / --quick run-count overrides.
 ScenarioConfig scenario_for(const FigureDef& fig, const Options& options);

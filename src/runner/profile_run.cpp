@@ -74,7 +74,6 @@ int run_observed_main(const Options& options) {
 
     RunSpec spec;
     spec.protocol = *protocol;
-    spec.sim_threads = sim_thread_count(options);
     const std::string metric_name = options.get_string("metric", "avg-delay");
     const std::optional<RoutingMetric> metric = metric_from_string(metric_name);
     if (!metric) {

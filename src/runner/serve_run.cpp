@@ -216,9 +216,6 @@ int run_serve_main(const Options& options) {
     const auto buffer_kb = options.get_int("buffer-kb", 0);
     config.buffer_capacity = buffer_kb > 0 ? static_cast<Bytes>(buffer_kb) * 1024 : -1;
     config.horizon = header.duration;
-    // In-run shard parallelism; snapshots stay interchangeable across
-    // thread counts (the fingerprint covers behavior, not execution shape).
-    config.sim.sim_threads = sim_thread_count(options);
 
     const std::string restore_path = options.get_string("restore", "");
     const bool supervise = options.get_bool("supervise", false);

@@ -27,9 +27,6 @@ namespace rapid::runner {
 //   --deadline=T          relative per-packet deadline in seconds (default none)
 //   --buffer-kb=N         per-node buffer capacity (default unbounded)
 //   --seed=N              workload RNG seed (default 1)
-//   --sim-threads=N       shard the live simulation across N cores
-//                         (bit-identical to serial; 0 = one per core);
-//                         snapshots are interchangeable across thread counts
 // The workload is derived deterministically from the trace's day header and
 // these flags, so a restore under the same flags reattaches exactly.
 // Returns a process exit code.

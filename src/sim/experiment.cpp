@@ -261,7 +261,6 @@ SimResult run_instance(const Scenario& scenario, const Instance& instance,
     sim.node_faults.seed ^= instance.fault_seed;
   }
   sim.obs = spec.obs;
-  sim.sim_threads = spec.sim_threads;
   if (instance.make_model)
     return run_simulation(instance.make_model(), instance.workload, factory, sim);
   return run_simulation(instance.schedule, instance.workload, factory, sim);

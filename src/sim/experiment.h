@@ -159,11 +159,6 @@ struct RunSpec {
   // clocks, trace-ring capacity). Defaults keep both off; the run's report
   // comes back on SimResult::obs either way (counters are always collected).
   obs::ObsConfig obs;
-  // In-run shard parallelism (SimConfig::sim_threads): > 1 splits each
-  // simulation across that many per-core node-range shards. Bit-identical
-  // to serial for every protocol — orthogonal to the sweep executor's
-  // across-run threads. CLI: `rapid_bench ... --sim-threads N`.
-  int sim_threads = 1;
 };
 
 SimResult run_instance(const Scenario& scenario, const Instance& instance,

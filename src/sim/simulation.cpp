@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "fault/fault_model.h"
-#include "sim/shard_exec.h"
-#include "sim/shard_plan.h"
 #include "util/binio.h"
 
 namespace rapid {
@@ -109,57 +107,6 @@ std::unique_ptr<EventSource> make_mobility_source(MobilityModel& model) {
 std::unique_ptr<EventSource> make_mobility_source(std::unique_ptr<MobilityModel> model) {
   return std::make_unique<MobilityEventSource>(std::move(model));
 }
-
-// Everything the sharded path owns: the node-range plan, the persistent
-// worker crew, per-slot accounting state (one slot per shard plus one for
-// the coordinator's cross-shard dispatches), and the reusable window
-// buffers. Slot metrics/arena are installed thread-locally around each
-// dispatch (ShardBindingScope), so routers accrue into their shard's
-// private state; merge_shard_state() drains everything back into the run's
-// collectors when a sharded run()/run_until() returns — between public
-// calls the Simulation is indistinguishable from a serial one.
-struct Simulation::ShardRuntime {
-  // One pumped event, stamped with everything the serial loop would have
-  // decided for it: its source (schedule meetings are pre-counted), its
-  // serial meeting index, and the shard(s) it involves.
-  struct WindowEvent {
-    SimEvent event;
-    std::size_t source = 0;
-    int meeting_index = -1;
-  };
-
-  struct Slot {
-    MetricsCollector metrics;
-    ScratchArena arena;
-    std::unique_ptr<obs::ObsContext> obs;
-    ShardBindings bindings;
-  };
-
-  ShardPlan plan;
-  ShardExecutor exec;
-  std::vector<Slot> slots;  // size num_shards + 1; last = coordinator
-  obs::ObsConfig slot_obs_config;
-  std::vector<WindowEvent> batch;
-  std::vector<ShardExecutor::Item> items;
-  bool dirty = false;  // a window ran since the last merge
-
-  ShardRuntime(const ShardPlan& p, const PacketPool& pool, const obs::ObsConfig& obs_config)
-      : plan(p), exec(p.num_shards()) {
-    // Worker probes merge into the run's registry at drain time; traces stay
-    // on the serial path (use_sharding() falls back when tracing is on).
-    slot_obs_config.profile = obs_config.profile;
-    slot_obs_config.trace_capacity = 0;
-    slots.resize(static_cast<std::size_t>(p.num_shards()) + 1);
-    for (Slot& slot : slots) {
-      slot.metrics.begin(pool);
-      slot.obs = std::make_unique<obs::ObsContext>(slot_obs_config);
-      slot.bindings.metrics = &slot.metrics;
-      slot.bindings.arena = &slot.arena;
-    }
-  }
-};
-
-Simulation::~Simulation() = default;
 
 Simulation::Simulation(const MeetingSchedule& schedule, const PacketPool& workload,
                        const RouterFactory& factory, const SimConfig& config)
@@ -276,17 +223,17 @@ bool Simulation::admit_event(const SimEvent& event, std::size_t source) {
   return true;
 }
 
-void Simulation::apply_fault_effects(const FaultEvent& fault, MetricsCollector& metrics) {
+void Simulation::apply_fault_effects(const FaultEvent& fault) {
   if (fault.up) {
     // Recovery: the node rejoins with whatever state survived the crash —
     // meeting estimates and metadata views are stale until contacts refresh
     // them, which is the point of the experiment.
-    metrics.record_recovery();
+    metrics_.record_recovery();
     RAPID_OBS_INC(kFaultRecoveries);
     RAPID_OBS_TRACE(kNodeRecover, fault.time, fault.node, kNoNode, kNoPacket, 0);
     return;
   }
-  metrics.record_crash();
+  metrics_.record_crash();
   RAPID_OBS_INC(kFaultCrashes);
   RAPID_OBS_TRACE(kNodeCrash, fault.time, fault.node, kNoNode, kNoPacket,
                   config_.node_faults.drop_buffers ? 1 : 0);
@@ -304,7 +251,7 @@ void Simulation::dispatch(const SimEvent& event, std::size_t source) {
     routers_[static_cast<std::size_t>(event.packet->src)]->on_generate(*event.packet);
   } else if (event.kind == SimEvent::Kind::kFault) {
     RAPID_OBS_INC(kSimEventsFault);
-    apply_fault_effects(event.fault, metrics_);
+    apply_fault_effects(event.fault);
   } else {
     RAPID_OBS_INC(kSimEventsMeeting);
     const Meeting& m = event.meeting;
@@ -345,10 +292,6 @@ bool Simulation::step() {
 }
 
 void Simulation::run_until(Time t) {
-  if (use_sharding()) {
-    run_until_sharded(t);
-    return;
-  }
   const obs::ContextScope obs_scope(&obs_);
   const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
   {
@@ -359,150 +302,7 @@ void Simulation::run_until(Time t) {
   if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
 }
 
-void Simulation::run() {
-  if (use_sharding()) {
-    run_until_sharded(kTimeInfinity);
-    return;
-  }
-  const obs::ContextScope obs_scope(&obs_);
-  const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
-  {
-    RAPID_OBS_PHASE(kDispatch);
-    while (step_until(kTimeInfinity)) {
-    }
-  }
-  if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
-}
-
-// --- sharded execution ----------------------------------------------------------
-
-bool Simulation::use_sharding() const {
-  if (config_.sim_threads <= 1 || num_nodes_ < 2) return false;
-  // Per-event observers see the serial dispatch order; honoring them forces
-  // the serial loop (documented on SimConfig::sim_threads).
-  if (!taps_.empty() || config_.obs.trace_capacity > 0) return false;
-  for (const auto& router : routers_)
-    if (!router->shard_safe()) return false;
-  return true;
-}
-
-void Simulation::ensure_shard_runtime() {
-  if (shard_ != nullptr) return;
-  const ShardPlan plan = ShardPlan::make(num_nodes_, config_.sim_threads);
-  shard_ = std::make_unique<ShardRuntime>(plan, workload_, config_.obs);
-}
-
-// The serial window pump: pulls events through the exact serial source
-// merge (same peek_next, same tie-breaks, same past-duration skips), stamps
-// each with its serial meeting index, then hands the window to the barrier
-// executor. Because every per-event decision that orders or numbers events
-// is made here, single-threaded, the shards only ever see the serial
-// per-node order — which is what makes the whole path bit-identical.
-void Simulation::run_until_sharded(Time t) {
-  const obs::ContextScope obs_scope(&obs_);
-  const std::uint64_t start = obs_.profile.enabled ? obs::monotonic_ns() : 0;
-  ensure_shard_runtime();
-  auto& batch = shard_->batch;
-  const std::size_t window = static_cast<std::size_t>(
-      config_.shard_window > 0 ? config_.shard_window : 1);
-  while (true) {
-    batch.clear();
-    {
-      RAPID_OBS_PHASE(kDispatch);
-      while (batch.size() < window) {
-        const std::optional<Next> next = peek_next();
-        if (!next.has_value() || next->event->time > t) break;
-        ShardRuntime::WindowEvent we;
-        we.event = *next->event;
-        we.source = next->source;
-        sources_[next->source]->pop();
-        if (we.event.time > duration_) {
-          RAPID_OBS_INC(kSimEventsSkipped);
-          continue;
-        }
-        // Mask updates and suppression run here, in serial pump order —
-        // the same decisions the serial loop would make, which is what
-        // keeps faulted runs bit-identical across thread counts. A fault
-        // event's router-side effects still execute in the window, ordered
-        // against the node's meetings by the executor.
-        if (!admit_event(we.event, we.source)) continue;
-        if (we.event.kind == SimEvent::Kind::kMeeting) we.meeting_index = meeting_index_++;
-        batch.push_back(we);
-      }
-    }
-    if (batch.empty()) break;
-    execute_window();
-    now_ = batch.back().event.time;
-  }
-  merge_shard_state();
-  if (obs_.profile.enabled) obs_.profile.total_ns += obs::monotonic_ns() - start;
-}
-
-void Simulation::execute_window() {
-  ShardRuntime& rt = *shard_;
-  rt.items.clear();
-  rt.items.reserve(rt.batch.size());
-  std::uint64_t cross = 0;
-  for (const ShardRuntime::WindowEvent& we : rt.batch) {
-    ShardExecutor::Item item;
-    if (we.event.kind == SimEvent::Kind::kPacket) {
-      item.shard_a = item.shard_b = rt.plan.shard_of(we.event.packet->src);
-    } else if (we.event.kind == SimEvent::Kind::kFault) {
-      item.shard_a = item.shard_b = rt.plan.shard_of(we.event.fault.node);
-    } else {
-      item.shard_a = rt.plan.shard_of(we.event.meeting.a);
-      item.shard_b = rt.plan.shard_of(we.event.meeting.b);
-      if (item.shard_a != item.shard_b) ++cross;
-    }
-    rt.items.push_back(item);
-  }
-  RAPID_OBS_INC(kShardWindows);
-  RAPID_OBS_ADD(kShardCrossMeetings, cross);
-  (void)cross;  // counted for obs only; no-op when RAPID_OBS=OFF
-  rt.dirty = true;
-  // The coordinator's exclusive time inside the executor — cross-shard
-  // dispatch plus barrier waits — lands in kShardSync; the shards' own work
-  // lands in their slot profiles (kDispatch etc.) and merges at drain time.
-  RAPID_OBS_PHASE(kShardSync);
-  rt.exec.run_window(rt.items,
-                     [this](std::size_t index, int slot) { dispatch_shard_item(index, slot); });
-}
-
-void Simulation::dispatch_shard_item(std::size_t index, int slot) {
-  ShardRuntime& rt = *shard_;
-  ShardRuntime::Slot& sl = rt.slots[static_cast<std::size_t>(slot)];
-  const ShardRuntime::WindowEvent& we = rt.batch[index];
-  const obs::ContextScope obs_scope(sl.obs.get());
-  const ShardBindingScope bindings(&sl.bindings);
-  RAPID_OBS_PHASE(kDispatch);
-  const SimEvent& event = we.event;
-  if (event.kind == SimEvent::Kind::kPacket) {
-    RAPID_OBS_INC(kSimEventsPacket);
-    RAPID_OBS_PHASE(kPacketGen);
-    routers_[static_cast<std::size_t>(event.packet->src)]->on_generate(*event.packet);
-  } else if (event.kind == SimEvent::Kind::kFault) {
-    RAPID_OBS_INC(kSimEventsFault);
-    apply_fault_effects(event.fault, sl.metrics);
-  } else {
-    RAPID_OBS_INC(kSimEventsMeeting);
-    const Meeting& m = event.meeting;
-    if (we.source != schedule_source_) sl.metrics.record_meeting(m.capacity);
-    run_contact(*routers_[static_cast<std::size_t>(m.a)],
-                *routers_[static_cast<std::size_t>(m.b)], m, we.meeting_index,
-                config_.contact, workload_, sl.metrics);
-  }
-}
-
-void Simulation::merge_shard_state() {
-  if (shard_ == nullptr || !shard_->dirty) return;
-  for (ShardRuntime::Slot& slot : shard_->slots) {
-    metrics_.drain_from(slot.metrics);
-    obs_.metrics.merge(slot.obs->metrics);
-    obs_.profile.merge(slot.obs->profile);
-    slot.obs = std::make_unique<obs::ObsContext>(shard_->slot_obs_config);
-  }
-  shard_->dirty = false;
-}
+void Simulation::run() { run_until(kTimeInfinity); }
 
 bool Simulation::done() const {
   // Events past the day end will be skipped by step(), and source times are

@@ -47,20 +47,6 @@ struct SimConfig {
   // Counters are always collected (they cost an array increment); the
   // defaults keep clocks and tracing off.
   obs::ObsConfig obs;
-  // In-run parallelism: > 1 partitions the fleet into that many contiguous
-  // node-range shards (sim/shard_plan.h) and runs each window of events
-  // through per-shard workers under the safe-horizon barrier of
-  // sim/shard_exec.h. Bit-identical to serial for every protocol (the shard
-  // differential matrix enforces it); runs serially regardless when the
-  // protocol is not shard-safe (global-oracle control channel), when taps
-  // or tracing observe per-event order, or when the fleet is too small to
-  // split. Snapshots are thread-count independent.
-  int sim_threads = 1;
-  // Events per pumped window on the sharded path. Smaller windows mean more
-  // barriers; larger ones batch more parallel work. The default amortizes
-  // barrier cost at typical contact rates; tests shrink it to force many
-  // window boundaries.
-  int shard_window = 4096;
   // Node crash/recover fault injection (fault/fault_config.h). When enabled,
   // the Simulation registers a fault event source itself (after the
   // built-ins, before any caller-added feed): crashed nodes miss their
@@ -123,7 +109,6 @@ class Simulation {
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
-  ~Simulation();  // out of line: ShardRuntime is an implementation detail
 
   // Extra event feeds beyond the built-ins; add before stepping. Events past
   // the duration are skipped like the built-ins' are.
@@ -201,33 +186,15 @@ class Simulation {
   // false when no such event is left.
   bool step_until(Time limit);
 
-  // Pump-time half of fault handling, shared by the serial and sharded
-  // loops: updates the up/down mask on kFault events and decides whether an
-  // event is admitted for dispatch. Meetings with a down endpoint and
-  // packets generated at a down node are suppressed here (a suppressed
-  // meeting still counts as a transfer opportunity — the radios were
-  // scheduled to meet; the node was just dead). Runs single-threaded in
-  // serial event order on both paths, which is what keeps faulted runs
-  // bit-identical across thread counts.
+  // Pump-time half of fault handling: updates the up/down mask on kFault
+  // events and decides whether an event is admitted for dispatch. Meetings
+  // with a down endpoint and packets generated at a down node are suppressed
+  // here (a suppressed meeting still counts as a transfer opportunity — the
+  // radios were scheduled to meet; the node was just dead).
   bool admit_event(const SimEvent& event, std::size_t source);
-  // Router-side crash/recover effects (buffer drop per policy, accounting);
-  // runs where the event is dispatched, so the sharded path orders it with
-  // the node's other events.
-  void apply_fault_effects(const FaultEvent& fault, MetricsCollector& metrics);
-
-  // --- sharded execution (sim/shard_plan.h, sim/shard_exec.h) ---------------
-  // True when this run can use the sharded path: sim_threads > 1, a fleet
-  // big enough to split, no per-event observers (taps, trace ring), and
-  // every router shard-safe. Evaluated per run()/run_until() call.
-  bool use_sharding() const;
-  // The windowed pump + barrier loop; bit-identical to the serial loop.
-  void run_until_sharded(Time t);
-  void execute_window();
-  void dispatch_shard_item(std::size_t index, int slot);
-  void ensure_shard_runtime();
-  void merge_shard_state();
-
-  struct ShardRuntime;  // simulation.cpp
+  // Router-side crash/recover effects (buffer drop per policy, accounting),
+  // run when the fault event is dispatched.
+  void apply_fault_effects(const FaultEvent& fault);
 
   const MeetingSchedule* schedule_ = nullptr;  // null on the streaming path
   // Index of the built-in schedule source, whose capacity/meeting totals are
@@ -254,11 +221,6 @@ class Simulation {
 
   std::vector<std::unique_ptr<EventSource>> sources_;
   std::vector<MetricTap> taps_;
-
-  // Lazily built on the first sharded run()/run_until(); null on serial
-  // runs. Owns the shard plan, the window executor and the per-slot
-  // {metrics, arena, obs} state that merges back at call boundaries.
-  std::unique_ptr<ShardRuntime> shard_;
 
   Time now_ = 0;
   int meeting_index_ = 0;

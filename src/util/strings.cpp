@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace rapid {
 
@@ -76,17 +77,29 @@ bool Options::has(std::string_view key) const {
   return false;
 }
 
+namespace {
+
+[[noreturn]] void throw_not_a_number(std::string_view key, const std::string& value) {
+  throw std::invalid_argument("--" + std::string(key) + ": not a number: '" + value + "'");
+}
+
+}  // namespace
+
 double Options::get_double(std::string_view key, double fallback) const {
-  for (const auto& [k, v] : kv_)
-    if (k == key)
-      if (auto parsed = parse_double(v)) return *parsed;
+  for (const auto& [k, v] : kv_) {
+    if (k != key) continue;
+    if (auto parsed = parse_double(v)) return *parsed;
+    throw_not_a_number(key, v);
+  }
   return fallback;
 }
 
 std::int64_t Options::get_int(std::string_view key, std::int64_t fallback) const {
-  for (const auto& [k, v] : kv_)
-    if (k == key)
-      if (auto parsed = parse_int(v)) return *parsed;
+  for (const auto& [k, v] : kv_) {
+    if (k != key) continue;
+    if (auto parsed = parse_int(v)) return *parsed;
+    throw_not_a_number(key, v);
+  }
   return fallback;
 }
 

@@ -1,12 +1,15 @@
 // The event merge's execution-shape invariants: stepping one event at a
-// time, stopping run_until() inside a burst of same-time events, and sharded
-// execution must all reproduce the byte-identical SimResult and engine
-// snapshot of a serial one-shot run().
+// time and stopping run_until() — inside a burst of same-time events, or
+// part-way through a lazily pulled mobility stream, for every protocol —
+// must reproduce the byte-identical SimResult and engine snapshot of a
+// one-shot run().
 //
-// The test names predate the removal of the timer wheel and dispatch
-// batching; they now pin the same properties on the single linear merge.
+// Some test names predate the removal of the timer wheel, dispatch batching
+// and in-run sharding; they now pin the same properties on the single serial
+// linear merge.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,24 +56,50 @@ void expect_bit_identical(const RunOutput& baseline, const RunOutput& other,
       << label << ": engine snapshot bytes diverged";
 }
 
-RunOutput run_powerlaw_stream(const Scenario& scenario, const Instance& instance,
-                              int sim_threads) {
+// A run on a streamed mobility source: meetings are pulled from the model
+// one contact at a time, so a run_until() stop leaves the model mid-stream.
+std::unique_ptr<Simulation> make_streamed(const Scenario& scenario, const Instance& instance,
+                                          ProtocolKind kind = ProtocolKind::kRapid) {
   ProtocolParams params = scenario.protocol_params();
   const RouterFactory factory =
-      make_protocol_factory(ProtocolKind::kRapid, params, scenario.config().buffer_capacity);
+      make_protocol_factory(kind, params, scenario.config().buffer_capacity);
   SimConfig sim;
   sim.contact.charge_metadata = true;
   sim.contact.link = scenario.config().link;
   sim.contact.link.seed ^= instance.link_seed;
-  sim.sim_threads = sim_threads;
-  if (sim_threads > 1) sim.shard_window = 61;  // many window boundaries
-  Simulation simulation(SimBounds{instance.num_nodes, instance.duration}, instance.workload,
-                        factory, sim);
-  simulation.add_event_source(make_mobility_source(instance.make_model()));
-  simulation.run();
-  return finish_and_snapshot(simulation);
+  auto simulation = std::make_unique<Simulation>(
+      SimBounds{instance.num_nodes, instance.duration}, instance.workload, factory, sim);
+  simulation->add_event_source(make_mobility_source(instance.make_model()));
+  return simulation;
 }
 
+TEST(EventCore, SteppedRunUntilOverStreamedMobilityMatchesOneShot) {
+  ScenarioConfig config = make_powerlaw_scenario();
+  config.stream_mobility = true;
+  config.synthetic_runs = 1;
+  const Scenario scenario(config);
+  const Instance instance = scenario.instance(0, 2.0);
+  ASSERT_TRUE(static_cast<bool>(instance.make_model));
+
+  const std::unique_ptr<Simulation> one_shot = make_streamed(scenario, instance);
+  one_shot->run();
+  const RunOutput baseline = finish_and_snapshot(*one_shot);
+  EXPECT_GT(baseline.result.meetings, 0u);
+
+  const std::unique_ptr<Simulation> stepped = make_streamed(scenario, instance);
+  constexpr int kSlices = 23;
+  for (int k = 1; k <= kSlices; ++k) {
+    const Time stop = instance.duration * k / kSlices;
+    stepped->run_until(stop);
+    EXPECT_LE(stepped->now(), stop);
+  }
+  stepped->run();
+  expect_bit_identical(baseline, finish_and_snapshot(*stepped), "stepped run_until");
+}
+
+// Single-stepping the lazily pulled stream: step() dispatches exactly one
+// event per call, pulling the next contact from the model only when the merge
+// needs it, and the stepped RAPID run is bit-identical to run().
 TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
   ScenarioConfig config = make_powerlaw_scenario();
   config.stream_mobility = true;
@@ -78,11 +107,56 @@ TEST(EventCore, ShardedWheelWithBatchingMatchesSerialPoll) {
   const Scenario scenario(config);
   const Instance instance = scenario.instance(0, 2.0);
   ASSERT_TRUE(static_cast<bool>(instance.make_model));
-  const RunOutput baseline = run_powerlaw_stream(scenario, instance, 1);
+
+  const std::unique_ptr<Simulation> one_shot = make_streamed(scenario, instance);
+  one_shot->run();
+  const RunOutput baseline = finish_and_snapshot(*one_shot);
   EXPECT_GT(baseline.result.meetings, 0u);
-  for (const int threads : {2, 4}) {
-    const RunOutput got = run_powerlaw_stream(scenario, instance, threads);
-    expect_bit_identical(baseline, got, "threads=" + std::to_string(threads));
+
+  const std::unique_ptr<Simulation> stepped = make_streamed(scenario, instance);
+  std::size_t dispatched = 0;
+  stepped->add_tap([&](const SimEvent&, const MetricsCollector&) { ++dispatched; });
+  std::size_t steps = 0;
+  while (stepped->step()) {
+    ++steps;
+    ASSERT_EQ(dispatched, steps) << "step " << steps << " dispatched more or less than one event";
+  }
+  EXPECT_TRUE(stepped->done());
+  EXPECT_EQ(steps, baseline.result.meetings + baseline.result.total_packets);
+  expect_bit_identical(baseline, finish_and_snapshot(*stepped), "single-stepped");
+}
+
+// Every protocol in the registry, stopped and resumed over the streamed
+// source at short 61 s slices (many stops per contact burst), reproduces its
+// own one-shot run bit for bit: a router whose RNG stream, meeting matrix,
+// ack table or buffer order depended on where run_until() stopped would
+// diverge in the snapshot even where the aggregate metrics agree.
+TEST(ShardMatrix, SteppedRunUntilMatchesSerialSingleShot) {
+  ScenarioConfig config = make_powerlaw_scenario();
+  config.stream_mobility = true;
+  config.synthetic_runs = 1;
+  const Scenario scenario(config);
+  const Instance instance = scenario.instance(0, 2.0);
+  ASSERT_TRUE(static_cast<bool>(instance.make_model));
+
+  for (const ProtocolKind kind :
+       {ProtocolKind::kRapid, ProtocolKind::kRapidGlobal, ProtocolKind::kRapidLocal,
+        ProtocolKind::kMaxProp, ProtocolKind::kSprayWait, ProtocolKind::kProphet,
+        ProtocolKind::kRandom, ProtocolKind::kRandomAcks, ProtocolKind::kEpidemic,
+        ProtocolKind::kDirect}) {
+    const std::string label = to_string(kind);
+    const std::unique_ptr<Simulation> one_shot = make_streamed(scenario, instance, kind);
+    one_shot->run();
+    const RunOutput baseline = finish_and_snapshot(*one_shot);
+    EXPECT_GT(baseline.result.meetings, 0u) << label;
+
+    const std::unique_ptr<Simulation> stepped = make_streamed(scenario, instance, kind);
+    for (Time stop = 61; stop < instance.duration; stop += 61) {
+      stepped->run_until(stop);
+      EXPECT_LE(stepped->now(), stop) << label;
+    }
+    stepped->run();
+    expect_bit_identical(baseline, finish_and_snapshot(*stepped), label);
   }
 }
 

@@ -57,24 +57,6 @@ TEST(MetricsRegistryTest, CountersGaugesHistogramsAccumulate) {
   EXPECT_EQ(h.max, 300u);
 }
 
-TEST(MetricsRegistryTest, MergeSumsCountersMaxesGauges) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.add(Counter::kContactSessions, 2);
-  b.add(Counter::kContactSessions, 3);
-  a.gauge_max(Gauge::kTraceEvents, 7);
-  b.gauge_max(Gauge::kTraceEvents, 5);
-  a.observe(Hist::kContactTransferBytes, 64);
-  b.observe(Hist::kContactTransferBytes, 1024);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter(Counter::kContactSessions), 5u);
-  EXPECT_EQ(a.gauge(Gauge::kTraceEvents), 7u);
-  EXPECT_EQ(a.hist(Hist::kContactTransferBytes).count, 2u);
-  EXPECT_EQ(a.hist(Hist::kContactTransferBytes).min, 64u);
-  EXPECT_EQ(a.hist(Hist::kContactTransferBytes).max, 1024u);
-}
-
 TEST(MetricsRegistryTest, SnapshotKeysSortedAndComplete) {
   MetricsRegistry reg;
   reg.add(Counter::kSimEventsMeeting, 9);

@@ -3,14 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <mutex>
 #include <set>
 
 #include "core/meeting_matrix.h"
 #include "core/metadata.h"
 #include "dtn/buffer.h"
-#include "sim/shard_exec.h"
-#include "sim/shard_plan.h"
 #include "util/rng.h"
 
 namespace rapid {
@@ -174,133 +171,6 @@ TEST_P(HopEstimateFuzz, MatchesBruteForceWithinHopBudget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HopEstimateFuzz, ::testing::Range(1, 13));
-
-// --- ShardPlan vs an exhaustive partition check -------------------------------
-
-class ShardPlanFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardPlanFuzz, EveryNodeInExactlyOneBalancedContiguousShard) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 911);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(1, 200));
-    const int requested = static_cast<int>(rng.uniform_int(1, 32));
-    const ShardPlan plan = ShardPlan::make(n, requested);
-
-    // Never more shards than nodes, never fewer than one.
-    ASSERT_EQ(plan.num_nodes(), n);
-    ASSERT_EQ(plan.num_shards(), std::min(requested, n));
-
-    // Ranges tile [0, n) exactly: begin(0) == 0, end(k-1) == n, consecutive
-    // ranges abut, and shard_of agrees with range membership everywhere.
-    ASSERT_EQ(plan.begin(0), 0);
-    ASSERT_EQ(plan.end(plan.num_shards() - 1), n);
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      ASSERT_LT(plan.begin(s), plan.end(s)) << "empty shard " << s;
-      if (s > 0) ASSERT_EQ(plan.begin(s), plan.end(s - 1));
-      for (NodeId node = plan.begin(s); node < plan.end(s); ++node)
-        ASSERT_EQ(plan.shard_of(node), s) << "node " << node;
-    }
-
-    // Balanced to within one node.
-    int smallest = n, largest = 0;
-    for (int s = 0; s < plan.num_shards(); ++s) {
-      const int size = static_cast<int>(plan.end(s) - plan.begin(s));
-      smallest = std::min(smallest, size);
-      largest = std::max(largest, size);
-    }
-    ASSERT_LE(largest - smallest, 1);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardPlanFuzz, ::testing::Range(1, 9));
-
-// --- ShardExecutor vs the window-barrier contract -----------------------------
-//
-// Random windows of intra/cross items, a recording dispatch function, and the
-// three invariants the sharded engine's bit-identity rests on (shard_exec.h):
-// exactly-once dispatch, per-shard dispatch order equal to sequence order
-// (which is precisely "no shard observes an event past its safe horizon"),
-// and cross items processed in global sequence order on the coordinator slot.
-
-class ShardExecFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardExecFuzz, WindowDispatchPreservesSerialOrderPerShard) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151);
-  const int num_shards = static_cast<int>(rng.uniform_int(2, 8));
-  ShardExecutor exec(num_shards);
-
-  // Several windows through one executor: the workers are reused, so stale
-  // cursor state from window w would corrupt window w + 1.
-  for (int window = 0; window < 5; ++window) {
-    const int count = static_cast<int>(rng.uniform_int(0, 120));
-    std::vector<ShardExecutor::Item> items;
-    for (int i = 0; i < count; ++i) {
-      ShardExecutor::Item item;
-      item.shard_a = static_cast<int>(rng.uniform_int(0, num_shards - 1));
-      item.shard_b = rng.bernoulli(0.35)
-                         ? static_cast<int>(rng.uniform_int(0, num_shards - 1))
-                         : item.shard_a;
-      items.push_back(item);
-    }
-
-    struct Dispatch {
-      std::size_t index;
-      int slot;
-    };
-    std::vector<Dispatch> log;
-    std::mutex log_mutex;
-    exec.run_window(items, [&](std::size_t index, int slot) {
-      const std::lock_guard<std::mutex> lock(log_mutex);
-      log.push_back({index, slot});
-    });
-
-    // Exactly once, on the right slot: intra on its shard's worker, cross on
-    // the coordinator slot (== num_shards).
-    ASSERT_EQ(log.size(), items.size());
-    std::vector<int> seen(items.size(), 0);
-    for (const Dispatch& d : log) {
-      ASSERT_LT(d.index, items.size());
-      ++seen[d.index];
-      const ShardExecutor::Item& item = items[d.index];
-      if (item.shard_a == item.shard_b) ASSERT_EQ(d.slot, item.shard_a);
-      else ASSERT_EQ(d.slot, num_shards);
-    }
-    for (std::size_t i = 0; i < items.size(); ++i)
-      ASSERT_EQ(seen[i], 1) << "item " << i;
-
-    // Per-shard order: the log restricted to items involving shard s is
-    // ascending in sequence index. The barrier handshake gives happens-before
-    // between a shard's worker and the coordinator, so wall-clock log order
-    // is meaningful per shard. Ascending order implies the safe-horizon rule:
-    // an intra item past an unprocessed cross item of the same shard would
-    // appear out of order here.
-    for (int s = 0; s < num_shards; ++s) {
-      std::size_t last = 0;
-      bool any = false;
-      for (const Dispatch& d : log) {
-        const ShardExecutor::Item& item = items[d.index];
-        if (item.shard_a != s && item.shard_b != s) continue;
-        if (any)
-          ASSERT_GT(d.index, last) << "shard " << s << " saw item " << d.index
-                                   << " after item " << last;
-        last = d.index;
-        any = true;
-      }
-    }
-
-    // Cross items in global sequence order.
-    std::size_t last_cross = 0;
-    bool any_cross = false;
-    for (const Dispatch& d : log) {
-      if (d.slot != num_shards) continue;
-      if (any_cross) ASSERT_GT(d.index, last_cross);
-      last_cross = d.index;
-      any_cross = true;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardExecFuzz, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace rapid

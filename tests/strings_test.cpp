@@ -3,6 +3,8 @@
 // another flag, empty values, '=' inside a value).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/strings.h"
 
 namespace rapid {
@@ -57,6 +59,25 @@ TEST(Options, SpaceFormAcceptsNegativeNumbers) {
   const Options options = parse({"--offset", "-3"});
   EXPECT_EQ(options.get_int("offset", 0), -3);
   EXPECT_EQ(parse({"--offset=-3"}).get_int("offset", 0), -3);
+}
+
+TEST(Options, UnparsableNumberThrowsNamingFlagAndValue) {
+  const Options options = parse({"--load=abc", "--threads", "2x"});
+  try {
+    options.get_double("load", 0.25);
+    ADD_FAILURE() << "get_double accepted a non-numeric value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--load: not a number: 'abc'");
+  }
+  try {
+    options.get_int("threads", 1);
+    ADD_FAILURE() << "get_int accepted a non-numeric value";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--threads: not a number: '2x'");
+  }
+  // An absent key still falls back.
+  EXPECT_EQ(options.get_double("days", 4.5), 4.5);
+  EXPECT_EQ(options.get_int("runs", 3), 3);
 }
 
 TEST(Options, SetOverridesAndAppends) {
