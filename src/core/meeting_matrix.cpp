@@ -7,6 +7,15 @@
 
 namespace rapid {
 
+namespace {
+
+// Ordering for column-sorted (column, value) lists.
+bool column_less(const std::pair<NodeId, Time>& entry, NodeId column) {
+  return entry.first < column;
+}
+
+}  // namespace
+
 MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
     : owner_(owner), num_nodes_(num_nodes), max_hops_(max_hops) {
   if (owner < 0 || owner >= num_nodes)
@@ -14,23 +23,20 @@ MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
   if (max_hops < 1) throw std::invalid_argument("MeetingMatrix: max_hops < 1");
   rows_.resize(static_cast<std::size_t>(num_nodes));  // versions materialize lazily
   stamps_.assign(static_cast<std::size_t>(num_nodes), -kTimeInfinity);
-  last_met_.assign(static_cast<std::size_t>(num_nodes), 0.0);
-  meet_count_.assign(static_cast<std::size_t>(num_nodes), 0);
-  empty_row_.assign(static_cast<std::size_t>(num_nodes), kTimeInfinity);
-  hop_rows_.resize(static_cast<std::size_t>(num_nodes));
 }
 
 void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
   if (peer < 0 || peer >= num_nodes_ || peer == owner_)
     throw std::invalid_argument("MeetingMatrix::observe_meeting: bad peer");
-  auto& count = meet_count_[static_cast<std::size_t>(peer)];
-  auto& last = last_met_[static_cast<std::size_t>(peer)];
-  const Time gap = now - last;  // first gap measured from time 0
+  auto stat = std::lower_bound(peers_.begin(), peers_.end(), peer,
+                               [](const PeerStat& s, NodeId p) { return s.peer < p; });
+  if (stat == peers_.end() || stat->peer != peer) stat = peers_.insert(stat, PeerStat{peer});
+  const Time gap = now - stat->last_met;  // first gap measured from time 0
 
   // Own-row versions are immutable once gossiped: clone before editing when
   // anyone else holds the current version (the gossiped copy stays valid
   // wherever it travelled). A version nobody adopted yet — use_count == 1 —
-  // is still private and is edited in place, allocation-free.
+  // is still private and is edited in place.
   RowPtr& slot = rows_[static_cast<std::size_t>(owner_)];
   RowVersion* fresh;
   if (slot != nullptr && slot.use_count() == 1) {
@@ -41,26 +47,17 @@ void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
     fresh = clone.get();
     slot = std::move(clone);
   }
-  if (fresh->cells.empty())
-    fresh->cells.assign(static_cast<std::size_t>(num_nodes_), kTimeInfinity);
-  Time& cell = fresh->cells[static_cast<std::size_t>(peer)];
-  if (cell == kTimeInfinity) fresh->finite.emplace_back(peer, kTimeInfinity);
-  if (count == 0) {
-    cell = gap;
+  auto cell = std::lower_bound(fresh->finite.begin(), fresh->finite.end(), peer, column_less);
+  if (cell == fresh->finite.end() || cell->first != peer)
+    cell = fresh->finite.emplace(cell, peer, kTimeInfinity);
+  if (stat->count == 0) {
+    cell->second = gap;
   } else {
-    cell += (gap - cell) / static_cast<double>(count + 1);
-  }
-  // Keep the packed mirror in sync. Recently re-observed peers sit near the
-  // tail of the append-ordered list, so scan from the back.
-  for (std::size_t i = fresh->finite.size(); i-- > 0;) {
-    if (fresh->finite[i].first == peer) {
-      fresh->finite[i].second = cell;
-      break;
-    }
+    cell->second += (gap - cell->second) / static_cast<double>(stat->count + 1);
   }
   fresh->stamp = now;
-  ++count;
-  last = now;
+  ++stat->count;
+  stat->last_met = now;
   stamps_[static_cast<std::size_t>(owner_)] = now;
   ++generation_;
 }
@@ -73,7 +70,6 @@ bool MeetingMatrix::merge_row(NodeId node, const std::vector<Time>& row, Time st
     throw std::invalid_argument("MeetingMatrix::merge_row: row size mismatch");
   if (stamp <= stamps_[static_cast<std::size_t>(node)]) return false;
   auto version = std::make_shared<RowVersion>();
-  version->cells = row;
   for (NodeId v = 0; v < num_nodes_; ++v) {
     const Time cell = row[static_cast<std::size_t>(v)];
     if (cell != kTimeInfinity) version->finite.emplace_back(v, cell);
@@ -82,6 +78,7 @@ bool MeetingMatrix::merge_row(NodeId node, const std::vector<Time>& row, Time st
   rows_[static_cast<std::size_t>(node)] = std::move(version);
   stamps_[static_cast<std::size_t>(node)] = stamp;
   ++generation_;
+  ++stats_.rows_accepted;
   return true;
 }
 
@@ -93,26 +90,16 @@ bool MeetingMatrix::merge_row(NodeId node, const RowPtr& version) {
   rows_[static_cast<std::size_t>(node)] = version;
   stamps_[static_cast<std::size_t>(node)] = version->stamp;
   ++generation_;
+  ++stats_.rows_accepted;
   return true;
-}
-
-const std::vector<Time>& MeetingMatrix::own_row() const {
-  const RowPtr& v = rows_[static_cast<std::size_t>(owner_)];
-  return v == nullptr ? empty_row_ : v->cells;
-}
-
-const std::vector<Time>& MeetingMatrix::row(NodeId node) const {
-  if (node < 0 || node >= num_nodes_)
-    throw std::invalid_argument("MeetingMatrix::row: bad node");
-  const RowPtr& v = rows_[static_cast<std::size_t>(node)];
-  return v == nullptr ? empty_row_ : v->cells;
 }
 
 Time MeetingMatrix::direct_mean(NodeId from, NodeId to) const {
   if (from == to) return 0;
   const RowPtr& v = rows_[static_cast<std::size_t>(from)];
   if (v == nullptr) return kTimeInfinity;
-  return v->cells[static_cast<std::size_t>(to)];
+  const auto cell = std::lower_bound(v->finite.begin(), v->finite.end(), to, column_less);
+  return cell != v->finite.end() && cell->first == to ? cell->second : kTimeInfinity;
 }
 
 namespace {
@@ -146,29 +133,17 @@ RelaxScratch& relax_scratch() {
 
 }  // namespace
 
-#ifdef RAPID_HOPSTAT
-#include <cstdio>
-namespace {
-struct HopStat {
-  unsigned long long calls = 0, recomputes = 0, edges = 0, frontier = 0, improved = 0;
-  ~HopStat() {
-    std::fprintf(stderr,
-                 "[hopstat] calls=%llu recomputes=%llu edges=%llu frontier=%llu improved=%llu\n",
-                 calls, recomputes, edges, frontier, improved);
-  }
-};
-HopStat g_hopstat;
-}  // namespace
-#define HOPSTAT(field, amount) (g_hopstat.field += (amount))
-#else
-#define HOPSTAT(field, amount) ((void)0)
-#endif
-
 const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
-  HopRow& cached = hop_rows_[static_cast<std::size_t>(from)];
-  HOPSTAT(calls, 1);
-  if (!cached.dist.empty() && cached.generation == generation_) return cached.dist;
-  HOPSTAT(recomputes, 1);
+  auto memo = std::find_if(hop_rows_.begin(), hop_rows_.end(),
+                           [from](const auto& entry) { return entry.first == from; });
+  if (memo == hop_rows_.end()) {
+    hop_rows_.emplace_back(from, HopRow{});
+    memo = hop_rows_.end() - 1;
+  } else if (memo->second.generation == generation_) {
+    return memo->second.dist;
+  }
+  HopRow& cached = memo->second;
+  ++stats_.hop_recomputes;
 
   // Single-source relaxation: after round r, dist[v] is the cheapest sum of
   // expected pairwise meeting times along a path of at most r+1 rows (never
@@ -184,14 +159,18 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   // memory traffic changes (no per-round n-cell copy, no n-row scan).
   const auto n = static_cast<std::size_t>(num_nodes_);
   std::vector<Time>& dist = cached.dist;
-  dist = row(from);  // 1-hop paths
+  dist.assign(n, kTimeInfinity);
+  const RowPtr& own = rows_[static_cast<std::size_t>(from)];
+  if (own != nullptr) {  // 1-hop paths
+    for (const auto& [v, val] : own->finite) dist[static_cast<std::size_t>(v)] = val;
+  }
   dist[static_cast<std::size_t>(from)] = 0;
 
   RelaxScratch& scratch = relax_scratch();
   scratch.ensure(n);
   scratch.frontier.clear();
   scratch.frontier.push_back(from);
-  if (const RowPtr& own = rows_[static_cast<std::size_t>(from)]) {
+  if (own != nullptr) {
     for (const auto& [v, val] : own->finite)
       if (v != from) scratch.frontier.push_back(v);
   }
@@ -203,7 +182,6 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       scratch.epoch = 1;
     }
     scratch.next_frontier.clear();
-    HOPSTAT(frontier, scratch.frontier.size());
     const NodeId* fr = scratch.frontier.data();
     const std::size_t fn = scratch.frontier.size();
     // RowVersions are scattered heap objects shared across the fleet, so a
@@ -224,11 +202,11 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       if (head == kTimeInfinity) continue;
       const RowVersion* mid_version = rows_[static_cast<std::size_t>(mid)].get();
       if (mid_version == nullptr) continue;
-      HOPSTAT(edges, mid_version->finite.size());
       // Stream the packed (col, value) pairs — rows are sparse in large
-      // fleets, and the mirror avoids gathering scattered cells lines.
+      // fleets. One probe addition per scanned row, not per edge.
       const auto* pairs = mid_version->finite.data();
       const std::size_t k = mid_version->finite.size();
+      stats_.hop_edges += k;
       for (std::size_t i = 0; i < k; ++i) {
         const Time candidate = head + pairs[i].second;
         const auto vi = static_cast<std::size_t>(pairs[i].first);
@@ -243,7 +221,6 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
         }
       }
     }
-    HOPSTAT(improved, scratch.next_frontier.size());
     for (const NodeId v : scratch.next_frontier)
       dist[static_cast<std::size_t>(v)] = scratch.best[static_cast<std::size_t>(v)];
     scratch.frontier.swap(scratch.next_frontier);
@@ -259,20 +236,22 @@ Time MeetingMatrix::expected_meeting_time(NodeId from, NodeId to) const {
   return hop_row(from)[static_cast<std::size_t>(to)];
 }
 
-int MeetingMatrix::peers_met() const {
-  int met = 0;
-  for (int count : meet_count_)
-    if (count > 0) ++met;
-  return met;
-}
-
 void MeetingMatrix::save(BinWriter& out) const {
   out.tag("MMTX");
   out.u64(generation_);
   const auto n = static_cast<std::size_t>(num_nodes_);
   for (std::size_t u = 0; u < n; ++u) out.f64(stamps_[u]);
-  for (std::size_t u = 0; u < n; ++u) out.f64(last_met_[u]);
-  for (std::size_t u = 0; u < n; ++u) out.i64(meet_count_[u]);
+  // Per-peer records in the dense layout: zero for peers never met.
+  std::size_t next = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const bool met = next < peers_.size() && peers_[next].peer == static_cast<NodeId>(u);
+    out.f64(met ? peers_[next++].last_met : 0.0);
+  }
+  next = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const bool met = next < peers_.size() && peers_[next].peer == static_cast<NodeId>(u);
+    out.i64(met ? peers_[next++].count : 0);
+  }
   for (std::size_t u = 0; u < n; ++u) {
     const RowPtr& v = rows_[u];
     if (v == nullptr) {
@@ -283,7 +262,11 @@ void MeetingMatrix::save(BinWriter& out) const {
     std::uint64_t id = 0;
     if (out.intern(v.get(), id)) {
       out.f64(v->stamp);
-      for (Time cell : v->cells) out.f64(cell);
+      auto cell = v->finite.begin();
+      for (std::size_t c = 0; c < n; ++c) {
+        const bool finite = cell != v->finite.end() && cell->first == static_cast<NodeId>(c);
+        out.f64(finite ? (cell++)->second : kTimeInfinity);
+      }
     }
   }
 }
@@ -291,10 +274,16 @@ void MeetingMatrix::save(BinWriter& out) const {
 void MeetingMatrix::load(BinReader& in) {
   in.expect_tag("MMTX");
   generation_ = in.u64();
+  hop_rows_.clear();  // memoized at generations of the state being replaced
   const auto n = static_cast<std::size_t>(num_nodes_);
   for (std::size_t u = 0; u < n; ++u) stamps_[u] = in.f64();
-  for (std::size_t u = 0; u < n; ++u) last_met_[u] = in.f64();
-  for (std::size_t u = 0; u < n; ++u) meet_count_[u] = static_cast<int>(in.i64());
+  std::vector<Time> last_met(n);
+  for (std::size_t u = 0; u < n; ++u) last_met[u] = in.f64();
+  peers_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto count = static_cast<int>(in.i64());
+    if (count != 0) peers_.push_back(PeerStat{static_cast<NodeId>(u), count, last_met[u]});
+  }
   for (std::size_t u = 0; u < n; ++u) {
     if (in.u8() == 0) {
       rows_[u] = nullptr;
@@ -307,11 +296,9 @@ void MeetingMatrix::load(BinReader& in) {
     }
     auto version = std::make_shared<RowVersion>();
     version->stamp = in.f64();
-    version->cells.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
-      version->cells[c] = in.f64();
-      if (version->cells[c] != kTimeInfinity)
-        version->finite.emplace_back(static_cast<NodeId>(c), version->cells[c]);
+      const Time cell = in.f64();
+      if (cell != kTimeInfinity) version->finite.emplace_back(static_cast<NodeId>(c), cell);
     }
     in.register_interned(id, version);
     rows_[u] = std::move(version);

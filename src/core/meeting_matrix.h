@@ -12,16 +12,18 @@
 // most h rows. Pairs unreachable in h hops get infinity, which the utility
 // layer (core/utility.h) turns into a zero marginal via the delay cap.
 //
-// Storage and recomputation are incremental, sized for 500+ node fleets:
-// a row version is an immutable snapshot (cells + precomputed finite-column
-// list + stamp) shared between every node that learnt it, so gossiping a
-// row is one pointer assignment instead of an n-cell copy, the wire-size
-// accounting reads the finite count in O(1), and the h-hop relaxation walks
-// only finite columns. h-hop estimates are computed per *source* on demand
-// (O(h·n·k) single-source relaxation over k finite entries per row) and
-// memoized until the matrix changes; every mutation bumps a generation
-// counter that the utility cache (core/utility_cache.h) keys its delay
-// estimates on.
+// Storage and recomputation are incremental and grow with what the owner
+// has learnt, not with the fleet: a row version is an immutable snapshot
+// (the finite entries as a column-sorted (column, value) list, plus a
+// stamp) shared between every node that learnt it, so gossiping a row is
+// one pointer assignment, the wire-size accounting reads the finite count in
+// O(1), a direct lookup is a binary search, and the h-hop relaxation walks
+// only finite columns. At 2000 nodes a row holds ~15 entries, so a version
+// is a few hundred bytes where a dense row would be 16 KB. h-hop estimates
+// are computed per *source* on demand (O(h·n·k) single-source relaxation
+// over k finite entries per row) and memoized until the matrix changes;
+// every mutation bumps a generation counter that the utility cache
+// (core/utility_cache.h) keys its delay estimates on.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +46,12 @@ class BinWriter;
 // caches but never change what any query returns).
 class MeetingMatrix {
  public:
-  // An immutable learnt row: cells, a packed mirror of the finite entries,
-  // and the freshness stamp. Shared (never mutated) between every matrix
-  // that learnt this version. `finite` duplicates the finite cells as one
-  // contiguous (column, value) array (finite[i].second ==
-  // cells[finite[i].first] always): the h-hop relaxation streams it with a
-  // single pointer dereference per row instead of gathering ~30 scattered
-  // cache lines out of each 16 KB cells array — the difference between a
-  // latency-bound and a streaming inner loop at 2000 nodes.
+  // An immutable learnt row: the finite entries as (column, value) pairs in
+  // ascending column order, and the freshness stamp. Columns absent from
+  // `finite` are infinity. Shared (never mutated) between every matrix that
+  // learnt this version. The h-hop relaxation streams the packed pairs with
+  // a single pointer dereference per row.
   struct RowVersion {
-    std::vector<Time> cells;
     std::vector<std::pair<NodeId, Time>> finite;
     Time stamp = -kTimeInfinity;
   };
@@ -76,7 +74,7 @@ class MeetingMatrix {
   // stale rows are ignored. Returns true if the row was accepted.
   bool merge_row(NodeId node, const std::vector<Time>& row, Time stamp);
   // Zero-copy variant for same-process gossip: adopts the shared version
-  // (cells, finite columns and stamp travel as one pointer).
+  // (finite entries and stamp travel as one pointer).
   bool merge_row(NodeId node, const RowPtr& version);
   // The learnt version of `node`'s row, for zero-copy gossip; null when
   // nothing was learnt yet.
@@ -84,11 +82,7 @@ class MeetingMatrix {
     return rows_[static_cast<std::size_t>(node)];
   }
 
-  // The owner's own averaged row and its freshness stamp.
-  const std::vector<Time>& own_row() const;
   Time row_stamp(NodeId node) const { return stamps_[static_cast<std::size_t>(node)]; }
-  // A node's row as most recently learnt; all-infinity for unknown nodes.
-  const std::vector<Time>& row(NodeId node) const;
 
   // Direct average only (infinity if never seen in any known row).
   Time direct_mean(NodeId from, NodeId to) const;
@@ -96,8 +90,8 @@ class MeetingMatrix {
   // E[M_{from,to}] within max_hops hops; infinity when unreachable.
   Time expected_meeting_time(NodeId from, NodeId to) const;
 
-  // Number of finite entries in the owner's own row (how many peers it met).
-  int peers_met() const;
+  // Number of distinct peers the owner has met directly.
+  int peers_met() const { return static_cast<int>(peers_.size()); }
 
   // Number of finite entries in `node`'s row as most recently learnt; O(1)
   // (precomputed per row version), feeding the metadata wire-size accounting.
@@ -110,12 +104,23 @@ class MeetingMatrix {
   // the utility cache keys meeting-time-dependent estimates on this.
   std::uint64_t generation() const { return generation_; }
 
-  // Snapshot/restore. Shared RowVersions are serialized once through the
-  // writer's interning table and re-shared on load, so the gossip sharing
-  // graph (and therefore the clone-vs-edit-in-place decisions of
-  // observe_meeting) replays exactly; finite-column lists are rebuilt from
-  // the cells (their order is not behavioral) and the h-hop memo restores
-  // cold — it refills from identical inputs.
+  // Work probes, flushed into the run's registry by RapidRouter::flush_obs
+  // as matrix.hop_recomputes, matrix.hop_edges and matrix.rows_accepted.
+  struct Stats {
+    std::uint64_t hop_recomputes = 0;  // h-hop rows recomputed (memo misses)
+    std::uint64_t hop_edges = 0;       // finite entries relaxed by those recomputes
+    std::uint64_t rows_accepted = 0;   // merge_row calls that adopted a row
+  };
+  const Stats& stats() const { return stats_; }
+
+  // Snapshot/restore. The format keeps the dense layout: per-node stamps,
+  // last meeting times and meeting counts, then each row as n values with
+  // infinity for absent columns. Shared RowVersions are serialized once
+  // through the writer's interning table and re-shared on load, so the
+  // gossip sharing graph (and therefore the clone-vs-edit-in-place
+  // decisions of observe_meeting) replays exactly. load() rebuilds the
+  // sparse rows and the per-peer list from the dense layout and clears the
+  // h-hop memo, which refills from identical inputs.
   void save(BinWriter& out) const;
   void load(BinReader& in);
 
@@ -127,19 +132,25 @@ class MeetingMatrix {
   // Null = nothing learnt about u yet (treated as all-infinity).
   std::vector<RowPtr> rows_;
   std::vector<Time> stamps_;
-  std::vector<Time> last_met_;   // owner's last direct meeting time per peer
-  std::vector<int> meet_count_;  // owner's direct meeting counts
-  std::vector<Time> empty_row_;  // shared all-infinity row for unknown nodes
+  // The owner's direct meetings, one record per peer met, sorted by peer.
+  struct PeerStat {
+    NodeId peer = kNoNode;
+    int count = 0;      // direct meetings so far
+    Time last_met = 0;  // time of the latest one
+  };
+  std::vector<PeerStat> peers_;
   std::uint64_t generation_ = 0;
+  mutable Stats stats_;  // hop_row() counts its recomputes
 
   // Memoized single-source h-hop distances, recomputed lazily per source
-  // when the generation they were computed at goes stale. Direct-indexed by
-  // source (an empty dist = never queried).
+  // when the generation they were computed at goes stale. RAPID asks only
+  // about its own source; mixed-protocol runs also ask about peers, so the
+  // memo is a short list searched linearly.
   struct HopRow {
     std::uint64_t generation = 0;
     std::vector<Time> dist;
   };
-  mutable std::vector<HopRow> hop_rows_;
+  mutable std::vector<std::pair<NodeId, HopRow>> hop_rows_;
 
   // A recompute is a frontier-driven relaxation over flat arrays (see
   // hop_row() in the .cpp): per round it scans only the rows whose distance

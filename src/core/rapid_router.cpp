@@ -6,7 +6,6 @@
 #include "core/delay_estimator.h"
 #include "obs/obs.h"
 #include "util/binio.h"
-#include "util/slab.h"
 
 namespace rapid {
 
@@ -16,14 +15,28 @@ RapidRouter::RapidRouter(NodeId self, Bytes buffer_capacity, const SimContext* c
       config_(config),
       matrix_(self, ctx->num_nodes, config.max_hops),
       global_(std::move(global)),
-      last_sync_(static_cast<std::size_t>(ctx->num_nodes), -kTimeInfinity),
-      per_peer_opportunity_(static_cast<std::size_t>(ctx->num_nodes)),
+      link_slot_(static_cast<std::size_t>(ctx->num_nodes), -1),
       cache_(ctx->num_nodes) {
   if (config_.control == ControlChannelMode::kGlobalOracle && global_ == nullptr)
     throw std::invalid_argument("RapidRouter: global-oracle mode needs a GlobalChannel");
   // The workload pool is fully generated before the simulation starts, so
   // the per-packet slabs can be sized once instead of growing in churn.
   if (ctx->pool != nullptr) meta_.reserve_packets(ctx->pool->size());
+}
+
+const RapidRouter::PeerLink* RapidRouter::find_link(NodeId peer) const {
+  const auto idx = static_cast<std::size_t>(peer);
+  if (idx >= link_slot_.size() || link_slot_[idx] < 0) return nullptr;
+  return &links_[static_cast<std::size_t>(link_slot_[idx])];
+}
+
+RapidRouter::PeerLink& RapidRouter::link_for(NodeId peer) {
+  std::int32_t& slot = link_slot_.at(static_cast<std::size_t>(peer));
+  if (slot < 0) {
+    slot = static_cast<std::int32_t>(links_.size());
+    links_.emplace_back();
+  }
+  return links_[static_cast<std::size_t>(slot)];
 }
 
 // --- queue maintenance -------------------------------------------------------
@@ -46,9 +59,8 @@ double RapidRouter::effective_meeting_time(NodeId node) const {
 }
 
 Bytes RapidRouter::expected_opportunity(NodeId peer) const {
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx < per_peer_opportunity_.size() && !per_peer_opportunity_[idx].empty())
-    return std::max<Bytes>(1, static_cast<Bytes>(per_peer_opportunity_[idx].value()));
+  if (const PeerLink* link = find_link(peer); link != nullptr && !link->opportunity.empty())
+    return std::max<Bytes>(1, static_cast<Bytes>(link->opportunity.value()));
   if (!avg_opportunity_.empty())
     return std::max<Bytes>(1, static_cast<Bytes>(avg_opportunity_.value()));
   return config_.prior_opportunity_bytes;
@@ -232,7 +244,7 @@ void RapidRouter::observe_opportunity(Bytes capacity, NodeId peer, Time now) {
   // folding zeros into B would wildly inflate the meeting counts of Alg. 2.
   if (capacity <= 0) return;
   avg_opportunity_.add(static_cast<double>(capacity));
-  grow_slot(per_peer_opportunity_, peer).add(static_cast<double>(capacity));
+  link_for(peer).opportunity.add(static_cast<double>(capacity));
 }
 
 void RapidRouter::broadcast_own_row(Time /*now*/) {
@@ -263,7 +275,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   Bytes used = 0;
   const auto fits = [&](Bytes cost) { return used + cost <= budget; };
   const auto finish = [&]() -> Bytes {
-    last_sync_[static_cast<std::size_t>(peer.self())] = now;
+    link_for(peer.self()).last_sync = now;
     return used;
   };
 
@@ -284,7 +296,8 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   // peer (own observations and relayed rows alike). The wire size reads the
   // matrix's incrementally maintained finite-entry count instead of
   // re-scanning the row.
-  const Time since = last_sync_[static_cast<std::size_t>(peer.self())];
+  const PeerLink* link = find_link(peer.self());
+  const Time since = link != nullptr ? link->last_sync : -kTimeInfinity;
   for (NodeId u = 0; u < matrix_.num_nodes(); ++u) {
     if (u == peer.self()) continue;
     const Time stamp = matrix_.row_stamp(u);
@@ -507,6 +520,10 @@ void RapidRouter::flush_obs(obs::ObsContext& out) const {
   out.metrics.add(obs::Counter::kUtilityRateRecomputes, s.rate_recomputes);
   out.metrics.add(obs::Counter::kUtilityForgets, s.forgets);
   out.metrics.gauge_max(obs::Gauge::kUtilityTrackedPackets, cache_.tracked_packets());
+  const MeetingMatrix::Stats& m = matrix_.stats();
+  out.metrics.add(obs::Counter::kMatrixHopRecomputes, m.hop_recomputes);
+  out.metrics.add(obs::Counter::kMatrixHopEdges, m.hop_edges);
+  out.metrics.add(obs::Counter::kMatrixRowsAccepted, m.rows_accepted);
 }
 
 PacketId RapidRouter::choose_drop_victim(const Packet& incoming, Time now) {
@@ -558,10 +575,18 @@ void RapidRouter::save_state(BinWriter& out) {
   out.tag("RAPD");
   matrix_.save(out);
   meta_.save(out);
-  for (Time t : last_sync_) out.f64(t);
+  // Per-peer links in the dense layout: defaults for peers never met.
+  const auto n = static_cast<NodeId>(link_slot_.size());
+  for (NodeId u = 0; u < n; ++u) {
+    const PeerLink* link = find_link(u);
+    out.f64(link != nullptr ? link->last_sync : -kTimeInfinity);
+  }
   out.f64(avg_opportunity_.value());
   out.u64(avg_opportunity_.count());
-  for (const MovingAverage& m : per_peer_opportunity_) {
+  const MovingAverage none;
+  for (NodeId u = 0; u < n; ++u) {
+    const PeerLink* link = find_link(u);
+    const MovingAverage& m = link != nullptr ? link->opportunity : none;
     out.f64(m.value());
     out.u64(m.count());
   }
@@ -579,14 +604,21 @@ void RapidRouter::load_state(BinReader& in) {
   in.expect_tag("RAPD");
   matrix_.load(in);
   meta_.load(in);
-  for (Time& t : last_sync_) t = in.f64();
+  links_.clear();
+  std::fill(link_slot_.begin(), link_slot_.end(), -1);
+  const auto n = static_cast<NodeId>(link_slot_.size());
+  for (NodeId u = 0; u < n; ++u) {
+    const Time t = in.f64();
+    if (t != -kTimeInfinity) link_for(u).last_sync = t;
+  }
   {
     const double value = in.f64();
     avg_opportunity_.restore(value, in.u64());
   }
-  for (MovingAverage& m : per_peer_opportunity_) {
+  for (NodeId u = 0; u < n; ++u) {
     const double value = in.f64();
-    m.restore(value, in.u64());
+    const std::uint64_t count = in.u64();
+    if (count != 0 || value != 0.0) link_for(u).opportunity.restore(value, count);
   }
   const bool had_global = in.u8() != 0;
   if (had_global != (global_ != nullptr))

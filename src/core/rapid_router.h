@@ -98,7 +98,8 @@ class RapidRouter : public Router {
   void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
   // Pushes the utility-cache probe counters (hits, recomputes, forgets,
-  // tracked-packet high-water mark) into the run's registry.
+  // tracked-packet high-water mark) and the meeting matrix's work probes
+  // into the run's registry.
   void flush_obs(obs::ObsContext& out) const override;
 
   // Snapshot/restore: meeting matrix (with shared row versions interned),
@@ -142,9 +143,19 @@ class RapidRouter : public Router {
   MeetingMatrix matrix_;
   MetadataStore meta_;
   std::shared_ptr<GlobalChannel> global_;
-  std::vector<Time> last_sync_;  // per peer; -inf = never synced
-  MovingAverage avg_opportunity_;                  // all peers
-  std::vector<MovingAverage> per_peer_opportunity_;  // flat, indexed by peer
+  MovingAverage avg_opportunity_;  // all peers
+  // What this router keeps about each peer it has met: the last metadata
+  // sync and the running transfer-opportunity size. Packed in order of first
+  // contact and reached through a direct slot index, because
+  // expected_opportunity runs on every utility evaluation.
+  struct PeerLink {
+    Time last_sync = -kTimeInfinity;  // -inf = never synced
+    MovingAverage opportunity;
+  };
+  std::vector<std::int32_t> link_slot_;  // peer -> links_ index, -1 = none
+  std::vector<PeerLink> links_;
+  const PeerLink* find_link(NodeId peer) const;
+  PeerLink& link_for(NodeId peer);  // find-or-insert
 
   // Incremental utility engine: owns the flat per-destination queues
   // ((created, id, size) ascending by age rank — front is oldest, i.e.

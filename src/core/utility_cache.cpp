@@ -35,7 +35,7 @@ void reset_utility_cache_global_stats() {
 
 UtilityCache::UtilityCache(int num_nodes) {
   if (num_nodes < 0) throw std::invalid_argument("UtilityCache: negative num_nodes");
-  queues_.resize(static_cast<std::size_t>(num_nodes));
+  queue_slot_.assign(static_cast<std::size_t>(num_nodes), kEmptySlot);
 }
 
 UtilityCache::~UtilityCache() {
@@ -47,8 +47,23 @@ UtilityCache::~UtilityCache() {
 
 // --- flat destination queues --------------------------------------------------
 
+const std::vector<UtilityCache::QueueEntry>& UtilityCache::queue(NodeId dst) const {
+  static const std::vector<QueueEntry> kNone;
+  const DestQueue* q = find_queue(dst);
+  return q != nullptr ? q->entries : kNone;
+}
+
+UtilityCache::DestQueue& UtilityCache::queue_for(NodeId dst) {
+  std::int32_t& slot = queue_slot_[static_cast<std::size_t>(dst)];
+  if (slot < 0) {
+    slot = static_cast<std::int32_t>(queues_.size());
+    queues_.emplace_back();
+  }
+  return queues_[static_cast<std::size_t>(slot)];
+}
+
 void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
-  DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  DestQueue& q = queue_for(dst);
   if (q.entries.empty())
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
   q.entries.insert(std::upper_bound(q.entries.begin(), q.entries.end(), e), e);
@@ -64,7 +79,9 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
 }
 
 void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
-  DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
+  if (slot < 0) return;
+  DestQueue& q = queues_[static_cast<std::size_t>(slot)];
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   if (pos == q.entries.end() || pos->id != e.id) return;
   const Bytes size = pos->size;
@@ -85,7 +102,9 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
 }
 
 Bytes UtilityCache::queue_bytes_before(NodeId dst, const QueueEntry& e) const {
-  const DestQueue& q = queues_[static_cast<std::size_t>(dst)];
+  const DestQueue* found = find_queue(dst);
+  if (found == nullptr) return 0;
+  const DestQueue& q = *found;
   const auto pos = std::lower_bound(q.entries.begin(), q.entries.end(), e);
   const auto idx = static_cast<std::size_t>(pos - q.entries.begin());
   if (idx == 0) return 0;

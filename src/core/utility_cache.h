@@ -10,11 +10,12 @@
 //
 // UtilityCache makes those reads incremental:
 //
-//  * Per-destination packet queues live in flat contiguous storage (a
-//    direct-indexed table of packed, age-sorted entry vectors) instead of a
-//    node-keyed map of vectors, with per-queue *generation* counters and an
-//    incrementally maintained size histogram so the prefix-bytes term of
-//    Algorithm 2 is O(log n) for the uniform-size workloads of Table 4.
+//  * Per-destination packet queues live in flat contiguous storage (packed
+//    age-sorted entry vectors, one per destination queued for so far,
+//    behind a direct slot index) instead of a node-keyed map of vectors,
+//    with per-queue *generation* counters and an incrementally maintained
+//    size histogram so the prefix-bytes term of Algorithm 2 is O(log n) for
+//    the uniform-size workloads of Table 4.
 //  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
 //    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a packed entry vector
 //    reached through a direct slot-by-PacketId index, each value keyed by
@@ -131,15 +132,15 @@ class UtilityCache {
   void queue_insert(NodeId dst, const QueueEntry& e);
   // Erases the entry with e's (created, id) key; no-op if absent.
   void queue_erase(NodeId dst, const QueueEntry& e);
-  const std::vector<QueueEntry>& queue(NodeId dst) const {
-    return queues_[static_cast<std::size_t>(dst)].entries;
-  }
+  // An absent destination reads as an empty queue at generation 0.
+  const std::vector<QueueEntry>& queue(NodeId dst) const;
   // Bytes queued ahead of e (the b_j(i) term of Algorithm 2): the byte sum of
   // all strictly older entries. O(log n) when the queue holds one distinct
   // packet size (the maintained histogram), O(position) otherwise.
   Bytes queue_bytes_before(NodeId dst, const QueueEntry& e) const;
   std::uint64_t queue_generation(NodeId dst) const {
-    return queues_[static_cast<std::size_t>(dst)].generation;
+    const DestQueue* q = find_queue(dst);
+    return q != nullptr ? q->generation : 0;
   }
   // Non-empty queues in ascending destination order (deterministic, unlike
   // the node-keyed hash map this storage replaced). fn returns false to stop
@@ -149,7 +150,7 @@ class UtilityCache {
   template <typename Fn>
   void for_each_queue(Fn&& fn) const {
     for (const NodeId dst : nonempty_)
-      if (!fn(dst, queues_[static_cast<std::size_t>(dst)].entries)) return;
+      if (!fn(dst, find_queue(dst)->entries)) return;
   }
 
   // --- memoized per-packet estimates ----------------------------------------
@@ -249,6 +250,16 @@ class UtilityCache {
   }
   Entry& entry_for(PacketId id);  // find-or-insert; may grow entries_
 
+  const DestQueue* find_queue(NodeId dst) const {
+    const std::int32_t slot = queue_slot_[static_cast<std::size_t>(dst)];
+    return slot >= 0 ? &queues_[static_cast<std::size_t>(slot)] : nullptr;
+  }
+  DestQueue& queue_for(NodeId dst);  // find-or-insert; may grow queues_
+
+  // Destinations this router has queued for, packed in order of first
+  // insert and reached through a direct slot index (a queue that empties
+  // keeps its slot and its generation).
+  std::vector<std::int32_t> queue_slot_;  // NodeId -> queues_ slot, -1 = absent
   std::vector<DestQueue> queues_;
   std::vector<NodeId> nonempty_;     // dsts with entries, sorted ascending
   std::vector<Entry> entries_;       // packed; order is unspecified

@@ -22,6 +22,9 @@ const char* counter_name(Counter c) {
     case Counter::kFaultRecoveries: return "fault.recoveries";
     case Counter::kFaultTailRetries: return "fault.tail_retries";
     case Counter::kLogMessages: return "log.messages";
+    case Counter::kMatrixHopEdges: return "matrix.hop_edges";
+    case Counter::kMatrixHopRecomputes: return "matrix.hop_recomputes";
+    case Counter::kMatrixRowsAccepted: return "matrix.rows_accepted";
     case Counter::kMobilityPops: return "mobility.pops";
     case Counter::kPoolSteals: return "pool.steals";
     case Counter::kPoolSubmitted: return "pool.submitted";

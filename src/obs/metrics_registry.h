@@ -37,6 +37,9 @@ enum class Counter : std::uint16_t {
   kFaultRecoveries,
   kFaultTailRetries,
   kLogMessages,
+  kMatrixHopEdges,
+  kMatrixHopRecomputes,
+  kMatrixRowsAccepted,
   kMobilityPops,
   kPoolSteals,
   kPoolSubmitted,

@@ -125,15 +125,14 @@ TEST(MeetingMatrix, GenerationBumpsOnAcceptedMutationsOnly) {
 TEST(MeetingMatrix, LazyRowsReadAsInfinityUntilLearnt) {
   MeetingMatrix m(0, 4);
   // Nothing learnt about node 2: its row reads as all-infinity.
-  const std::vector<Time>& unknown = m.row(2);
-  ASSERT_EQ(unknown.size(), 4u);
-  for (Time t : unknown) EXPECT_EQ(t, kTimeInfinity);
-  EXPECT_EQ(m.direct_mean(2, 3), kTimeInfinity);
+  EXPECT_EQ(m.share_row(2), nullptr);
+  for (NodeId to : {0, 1, 3}) EXPECT_EQ(m.direct_mean(2, to), kTimeInfinity);
   EXPECT_EQ(m.expected_meeting_time(2, 3), kTimeInfinity);
   std::vector<Time> row(4, kTimeInfinity);
   row[3] = 12.0;
   ASSERT_TRUE(m.merge_row(2, row, 5.0));
-  EXPECT_DOUBLE_EQ(m.row(2)[3], 12.0);
+  EXPECT_DOUBLE_EQ(m.direct_mean(2, 3), 12.0);
+  EXPECT_EQ(m.direct_mean(2, 1), kTimeInfinity);
   EXPECT_DOUBLE_EQ(m.expected_meeting_time(2, 3), 12.0);
 }
 

@@ -381,6 +381,25 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
 #endif
 }
 
+TEST(ObsSimulationTest, MeetingMatrixCountersFlushOnTraceScenario) {
+  ScenarioConfig config = make_trace_scenario();
+  config.days = 1;
+  const Scenario scenario(config);
+  const SimResult result = run_instance(scenario, scenario.instance(0, 4.0), RunSpec{});
+  ASSERT_NE(result.obs, nullptr);
+  ASSERT_GT(result.meetings, 0u);
+#if RAPID_OBS_ENABLED
+  // RAPID's meeting matrices flush their work probes through
+  // Router::flush_obs. Trace rows are nearly full, so the entries relaxed
+  // outnumber the recomputes.
+  const MetricsSnapshot& m = result.obs->metrics;
+  EXPECT_GT(m.value("matrix.hop_recomputes"), 0u);
+  EXPECT_GT(m.value("matrix.hop_edges"), 0u);
+  EXPECT_GT(m.value("matrix.rows_accepted"), 0u);
+  EXPECT_GE(m.value("matrix.hop_edges"), m.value("matrix.hop_recomputes"));
+#endif
+}
+
 TEST(ObsSimulationTest, StreamingRunCountsMobilityPops) {
   ScenarioConfig config = tiny_powerlaw_config();
   config.stream_mobility = true;

@@ -2,12 +2,16 @@
 // trivially-correct reference implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "core/meeting_matrix.h"
 #include "core/metadata.h"
 #include "dtn/buffer.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace rapid {
@@ -171,6 +175,202 @@ TEST_P(HopEstimateFuzz, MatchesBruteForceWithinHopBudget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HopEstimateFuzz, ::testing::Range(1, 13));
+
+// --- Sparse MeetingMatrix rows vs a dense reference ---------------------------
+
+// The dense n x n table the sparse rows replace, with the same update rules:
+// running means of inter-meeting gaps for the owner's row, stamp-versioned
+// adoption of everyone else's, and h-hop estimates by the classic full
+// Jacobi sweep. Answers must match the matrix bit for bit.
+struct DenseMatrixModel {
+  NodeId owner;
+  int n;
+  int hops;
+  std::vector<std::vector<Time>> rows;
+  std::vector<Time> stamps;
+  std::vector<int> count;
+  std::vector<Time> last_met;
+
+  DenseMatrixModel(NodeId owner_node, int num_nodes, int max_hops)
+      : owner(owner_node),
+        n(num_nodes),
+        hops(max_hops),
+        rows(static_cast<std::size_t>(num_nodes),
+             std::vector<Time>(static_cast<std::size_t>(num_nodes), kTimeInfinity)),
+        stamps(static_cast<std::size_t>(num_nodes), -kTimeInfinity),
+        count(static_cast<std::size_t>(num_nodes), 0),
+        last_met(static_cast<std::size_t>(num_nodes), 0.0) {}
+
+  void observe(NodeId peer, Time now) {
+    const auto p = static_cast<std::size_t>(peer);
+    const Time gap = now - last_met[p];
+    Time& cell = rows[static_cast<std::size_t>(owner)][p];
+    if (count[p] == 0) {
+      cell = gap;
+    } else {
+      cell += (gap - cell) / static_cast<double>(count[p] + 1);
+    }
+    ++count[p];
+    last_met[p] = now;
+    stamps[static_cast<std::size_t>(owner)] = now;
+  }
+
+  bool merge(NodeId node, const std::vector<Time>& row, Time stamp) {
+    const auto u = static_cast<std::size_t>(node);
+    if (node == owner || stamp <= stamps[u]) return false;
+    rows[u] = row;
+    stamps[u] = stamp;
+    return true;
+  }
+
+  Time direct(NodeId from, NodeId to) const {
+    return from == to ? 0 : rows[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
+  }
+
+  Time expected(NodeId from, NodeId to) const {
+    if (from == to) return 0;
+    std::vector<Time> dist = rows[static_cast<std::size_t>(from)];
+    dist[static_cast<std::size_t>(from)] = 0;
+    for (int round = 1; round < hops; ++round) {
+      std::vector<Time> next = dist;
+      for (std::size_t u = 0; u < dist.size(); ++u) {
+        if (dist[u] == kTimeInfinity) continue;
+        for (std::size_t v = 0; v < dist.size(); ++v) {
+          const Time leg = rows[u][v];
+          if (leg == kTimeInfinity) continue;
+          if (dist[u] + leg < next[v]) next[v] = dist[u] + leg;
+        }
+      }
+      dist = std::move(next);
+    }
+    return dist[static_cast<std::size_t>(to)];
+  }
+
+  int peers_met() const {
+    return static_cast<int>(std::count_if(count.begin(), count.end(), [](int c) { return c > 0; }));
+  }
+};
+
+std::string matrix_bytes(const MeetingMatrix& m) {
+  std::ostringstream os;
+  BinWriter writer(os);
+  m.save(writer);
+  return os.str();
+}
+
+void load_matrix(MeetingMatrix& m, const std::string& bytes) {
+  std::istringstream is(bytes);
+  BinReader reader(is);
+  m.load(reader);
+}
+
+// Every direct and h-hop answer of `m`, compared bit for bit with `model`.
+void expect_matches(const MeetingMatrix& m, const DenseMatrixModel& model, const char* what) {
+  EXPECT_EQ(m.peers_met(), model.peers_met()) << what;
+  for (NodeId from = 0; from < model.n; ++from) {
+    for (NodeId to = 0; to < model.n; ++to) {
+      EXPECT_EQ(m.direct_mean(from, to), model.direct(from, to))
+          << what << ": direct " << from << "->" << to;
+      EXPECT_EQ(m.expected_meeting_time(from, to), model.expected(from, to))
+          << what << ": h-hop " << from << "->" << to;
+    }
+  }
+}
+
+class SparseRowFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SparseRowFuzz, MatchesDenseReferenceAndRoundTripsSnapshots) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 53);
+  const int n = 12;
+  const int hops = 3;
+  MeetingMatrix m(0, n, hops);
+  DenseMatrixModel ref(0, n, hops);
+  // Gossip sources: nodes 1-3 keep their own matrices, so shared merges
+  // adopt versions that their owners go on editing (clone on write).
+  std::vector<MeetingMatrix> sources;
+  std::vector<DenseMatrixModel> source_refs;
+  for (NodeId u = 1; u <= 3; ++u) {
+    sources.emplace_back(u, n, hops);
+    source_refs.emplace_back(u, n, hops);
+  }
+
+  Time now = 0;
+  const auto some_peer = [&](NodeId not_this) {
+    NodeId peer = not_this;
+    while (peer == not_this) peer = static_cast<NodeId>(rng.uniform_int(0, 5));  // repeats
+    return peer;
+  };
+  for (int op = 0; op < 240; ++op) {
+    now += rng.uniform(0.5, 30.0);
+    const double kind = rng.uniform();
+    if (kind < 0.35) {
+      const NodeId peer = some_peer(0);
+      m.observe_meeting(peer, now);
+      ref.observe(peer, now);
+    } else if (kind < 0.55) {
+      // Dense merge, fresh or stale (equal or older stamp), own row included.
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      std::vector<Time> row(static_cast<std::size_t>(n), kTimeInfinity);
+      for (Time& cell : row)
+        if (rng.bernoulli(0.3)) cell = rng.uniform(1.0, 100.0);
+      const Time known = ref.stamps[static_cast<std::size_t>(node)];
+      const double pick = rng.uniform();
+      const Time stamp = pick < 0.6 || known == -kTimeInfinity ? now
+                         : pick < 0.8                           ? known
+                                                                : known - rng.uniform(0.1, 5.0);
+      EXPECT_EQ(m.merge_row(node, row, stamp), ref.merge(node, row, stamp)) << "op " << op;
+    } else if (kind < 0.75) {
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const NodeId peer = some_peer(sources[k].owner());
+      sources[k].observe_meeting(peer, now);
+      source_refs[k].observe(peer, now);
+    } else if (kind < 0.95) {
+      // Shared merge of a source's own row (rejected while null or stale).
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const NodeId u = sources[k].owner();
+      const bool expect = sources[k].share_row(u) != nullptr &&
+                          ref.merge(u, source_refs[k].rows[static_cast<std::size_t>(u)],
+                                    source_refs[k].stamps[static_cast<std::size_t>(u)]);
+      EXPECT_EQ(m.merge_row(u, sources[k].share_row(u)), expect) << "op " << op;
+    } else {
+      // Hand m's own row to a source; m's next observation must clone it.
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const bool expect = m.share_row(0) != nullptr &&
+                          source_refs[k].merge(0, ref.rows[0], ref.stamps[0]);
+      EXPECT_EQ(sources[k].merge_row(0, m.share_row(0)), expect) << "op " << op;
+    }
+    if (op % 8 == 7) {
+      expect_matches(m, ref, "live");
+      for (std::size_t k = 0; k < sources.size(); ++k)
+        expect_matches(sources[k], source_refs[k], "source");
+      if (HasFailure()) return;
+    }
+  }
+  expect_matches(m, ref, "live");
+
+  // save -> load into a fresh matrix -> save is byte-identical, and the
+  // restored matrix answers like the reference.
+  const std::string bytes = matrix_bytes(m);
+  MeetingMatrix fresh(0, n, hops);
+  load_matrix(fresh, bytes);
+  EXPECT_EQ(matrix_bytes(fresh), bytes);
+  EXPECT_EQ(fresh.generation(), m.generation());
+  expect_matches(fresh, ref, "restored");
+
+  // Restoring over a matrix that already answered queries at the very
+  // generation being restored must not serve its old memoized distances.
+  MeetingMatrix queried(0, n, hops);
+  for (std::uint64_t g = 0; g < m.generation(); ++g)
+    queried.observe_meeting(static_cast<NodeId>(1 + g % (n - 1)), 1.0 + static_cast<Time>(g));
+  ASSERT_EQ(queried.generation(), m.generation());
+  for (NodeId from = 0; from < n; ++from)
+    for (NodeId to = 0; to < n; ++to) (void)queried.expected_meeting_time(from, to);
+  load_matrix(queried, bytes);
+  expect_matches(queried, ref, "restored over a queried matrix");
+  EXPECT_EQ(matrix_bytes(queried), bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseRowFuzz, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace rapid

@@ -3,7 +3,8 @@
 // mallinfo2 (bytes in use in the arenas plus mmapped blocks) rather than
 // process RSS: a materialized schedule of the whole stream is only 24 bytes
 // a meeting, a few MB here, which RSS on a process of ~300 MB cannot
-// resolve but the live-heap count can.
+// resolve but the live-heap count can. The same count bounds RAPID's
+// per-router state against the fleet size.
 //
 // The suite name is kept out of the sanitizer jobs' test filters: ASan and
 // TSan replace malloc, so mallinfo2 would not see the program's heap.
@@ -93,6 +94,43 @@ TEST(StreamingFootprint, LiveHeapIsIndependentOfMeetingCount) {
   EXPECT_LE(static_cast<double>(longer.peak_growth), 1.10 * static_cast<double>(base.peak_growth))
       << "peak live heap: " << base.peak_growth << " bytes over " << base.meetings
       << " meetings, " << longer.peak_growth << " bytes over " << longer.meetings;
+}
+
+// RAPID's per-router state grows with the peers and destinations a router
+// has learnt about, not with the fleet: meeting rows hold only their finite
+// entries, and per-peer and per-destination records exist only once that
+// peer was met or that destination queued for. On the 2000-node stream a
+// dense per-router layout costs ~350 KB a node before the first contact and
+// ~820 MB of live heap an eighth of the way in; the sparse one ~70 KB and
+// ~170 MB.
+TEST(StreamingFootprint, RapidStateIsSparseInFleetSize) {
+  const ScenarioConfig config = runner::ScenarioRegistry::global().make("powerlaw-stream");
+  const Scenario scenario(config);
+  const Instance instance = scenario.instance(0, 0.02);
+  SimConfig sim_config;
+  sim_config.contact.charge_metadata = true;
+  sim_config.contact.link = config.link;
+  sim_config.contact.link.seed ^= instance.link_seed;
+  const RouterFactory factory = make_protocol_factory(
+      ProtocolKind::kRapid, scenario.protocol_params(), config.buffer_capacity);
+  std::unique_ptr<MobilityModel> model = scenario.model(0);
+  const int nodes = model->num_nodes();
+  const Time duration = model->duration();
+
+  const std::size_t before = live_heap_bytes();
+  Simulation sim(SimBounds{nodes, duration}, instance.workload, factory, sim_config);
+  const std::size_t constructed = live_heap_bytes() - before;
+  EXPECT_LE(constructed, std::size_t{96} * 1024 * static_cast<std::size_t>(nodes))
+      << "constructing " << nodes << " RAPID routers added " << constructed / nodes
+      << " bytes of live heap per node";
+
+  sim.add_event_source(make_mobility_source(std::move(model)));
+  sim.run_until(duration / 8);
+  ASSERT_GT(sim.meetings_run(), 0);
+  const std::size_t grown = live_heap_bytes() - before;
+  EXPECT_LE(grown, std::size_t{256} << 20)
+      << "the live heap grew by " << (grown >> 20) << " MB over " << sim.meetings_run()
+      << " meetings";
 }
 
 }  // namespace
