@@ -237,6 +237,67 @@ TEST(Simulation, MetricInvariantsHoldUnderLinkPolicies) {
   }
 }
 
+TEST(Simulation, LinkPolicyResultsArePinned) {
+  // Exact results on the cut, asymmetric and link-fault contact paths, so a
+  // change to the transfer loop's budgets, cut or corruption draws cannot
+  // pass as "still within the invariants" above.
+  struct Pin {
+    double rate;
+    double forward;
+    bool faulty;
+    ProtocolKind kind;
+    std::size_t delivered;
+    Bytes data_bytes;
+    Bytes metadata_bytes;
+    std::size_t partial_transfers;
+    Bytes partial_bytes;
+    std::size_t corrupted_transfers;
+  };
+  const Pin pins[] = {
+      {0.5, -1.0, false, ProtocolKind::kRapid, 109, 555176, 206760, 56, 26792, 0},
+      {0.5, -1.0, false, ProtocolKind::kMaxProp, 109, 558565, 122120, 53, 28133, 0},
+      {0.5, -1.0, false, ProtocolKind::kSprayWait, 109, 831569, 0, 70, 36945, 0},
+      {0.5, -1.0, false, ProtocolKind::kProphet, 109, 733865, 35968, 54, 31401, 0},
+      {0.5, -1.0, false, ProtocolKind::kEpidemic, 109, 837616, 0, 67, 35824, 0},
+      {0.5, -1.0, false, ProtocolKind::kDirect, 104, 110503, 0, 6, 4007, 0},
+      {0.0, 0.7, false, ProtocolKind::kRapid, 110, 526336, 202824, 0, 0, 0},
+      {0.0, 0.7, false, ProtocolKind::kMaxProp, 110, 531456, 122168, 0, 0, 0},
+      {0.0, 0.7, false, ProtocolKind::kSprayWait, 110, 780288, 0, 0, 0, 0},
+      {0.0, 0.7, false, ProtocolKind::kProphet, 110, 661504, 35968, 0, 0, 0},
+      {0.0, 0.7, false, ProtocolKind::kEpidemic, 110, 796672, 0, 0, 0, 0},
+      {0.0, 0.7, false, ProtocolKind::kDirect, 104, 106496, 0, 0, 0, 0},
+      {0.5, 0.7, false, ProtocolKind::kRapid, 109, 519376, 208888, 46, 23760, 0},
+      {0.5, 0.7, false, ProtocolKind::kMaxProp, 110, 551146, 122136, 51, 27882, 0},
+      {0.5, 0.7, false, ProtocolKind::kSprayWait, 109, 785362, 0, 55, 31698, 0},
+      {0.5, 0.7, false, ProtocolKind::kProphet, 110, 669813, 35968, 45, 25717, 0},
+      {0.5, 0.7, false, ProtocolKind::kEpidemic, 109, 790733, 0, 55, 31949, 0},
+      {0.5, 0.7, false, ProtocolKind::kDirect, 103, 110142, 0, 6, 4670, 0},
+      {0.0, -1.0, true, ProtocolKind::kRapid, 110, 671744, 208000, 0, 0, 139},
+  };
+  const SmallWorld world = make_world(26);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(to_string(pin.kind) + " rate=" + std::to_string(pin.rate) +
+                 " forward=" + std::to_string(pin.forward) +
+                 (pin.faulty ? " faulty" : ""));
+    SimConfig config;
+    config.contact.link.interruption_rate = pin.rate;
+    config.contact.link.forward_fraction = pin.forward;
+    if (pin.faulty) {
+      config.contact.fault.loss_rate = 0.2;
+      config.contact.fault.loss_spread = 0.5;
+      config.contact.fault.meta_degrade_rate = 0.3;
+    }
+    const SimResult r =
+        run_simulation(world.schedule, world.workload, factory_for(pin.kind), config);
+    EXPECT_EQ(r.delivered, pin.delivered);
+    EXPECT_EQ(r.data_bytes, pin.data_bytes);
+    EXPECT_EQ(r.metadata_bytes, pin.metadata_bytes);
+    EXPECT_EQ(r.partial_transfers, pin.partial_transfers);
+    EXPECT_EQ(r.partial_bytes, pin.partial_bytes);
+    EXPECT_EQ(r.corrupted_transfers, pin.corrupted_transfers);
+  }
+}
+
 TEST(Simulation, StreamingMobilityBitIdenticalToMaterializedSchedule) {
   // The same exponential mobility reaches the engine two ways: materialized
   // into the world's MeetingSchedule, and pulled lazily through a
