@@ -28,8 +28,8 @@ void DirectRouter::on_acked(const Packet& p, Time /*now*/) {
 
 std::optional<PacketId> DirectRouter::next_transfer(const ContactContext& contact,
                                                     const PeerView& peer) {
-  if (!plan_current(peer.self())) {
-    mark_plan_built(peer.self());
+  if (!plan_current()) {
+    mark_plan_built();
     order_.clear();
     cursor_ = 0;
     for (const auto& [created, id] : age_order_.entries())
@@ -38,7 +38,7 @@ std::optional<PacketId> DirectRouter::next_transfer(const ContactContext& contac
   while (cursor_ < order_.size()) {
     const PacketId id = order_[cursor_];
     ++cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id, peer.self())) continue;
+    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
     if (ctx().packet(id).size > contact.remaining) continue;
     return id;
   }

@@ -43,7 +43,7 @@ Bytes EpidemicRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_b
 }
 
 void EpidemicRouter::build_plan(const PeerView& peer) {
-  mark_plan_built(peer.self());
+  mark_plan_built();
   order_.clear();
   cursor_ = 0;
   // The maintained order is already oldest-first; one linear pass splits it
@@ -58,14 +58,14 @@ void EpidemicRouter::build_plan(const PeerView& peer) {
 
 std::optional<PacketId> EpidemicRouter::next_transfer(const ContactContext& contact,
                                                       const PeerView& peer) {
-  if (!plan_current(peer.self())) build_plan(peer);
+  if (!plan_current()) build_plan(peer);
   while (cursor_ < order_.size()) {
     const PacketId id = order_[cursor_];
     ++cursor_;
     if (!buffer().contains(id)) continue;
     const Packet& p = ctx().packet(id);
     if (p.dst == peer.self()) {
-      if (peer.has_received(id) || contact_skipped(id, peer.self())) continue;
+      if (peer.has_received(id) || contact_skipped(id)) continue;
     } else if (!peer_wants(peer, p)) {
       continue;
     }

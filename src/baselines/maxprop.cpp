@@ -178,7 +178,7 @@ const std::vector<PacketId>& MaxPropRouter::priority_order() const {
 }
 
 void MaxPropRouter::build_plan(const PeerView& peer) {
-  mark_plan_built(peer.self());
+  mark_plan_built();
   direct_order_.clear();
   direct_cursor_ = 0;
   send_order_.clear();
@@ -194,13 +194,11 @@ void MaxPropRouter::build_plan(const PeerView& peer) {
 
 std::optional<PacketId> MaxPropRouter::next_transfer(const ContactContext& contact,
                                                      const PeerView& peer) {
-  if (!plan_current(peer.self())) build_plan(peer);
+  if (!plan_current()) build_plan(peer);
   while (direct_cursor_ < direct_order_.size()) {
     const PacketId id = direct_order_[direct_cursor_];
     ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) ||
-        contact_skipped(id, peer.self()))
-      continue;
+    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
     if (ctx().packet(id).size > contact.remaining) continue;
     return id;
   }

@@ -72,7 +72,7 @@ Bytes ProphetRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_bu
 }
 
 void ProphetRouter::build_plan(const PeerView& peer, Time now) {
-  mark_plan_built(peer.self());
+  mark_plan_built();
   direct_order_.clear();
   direct_cursor_ = 0;
   forward_order_.clear();
@@ -98,11 +98,11 @@ void ProphetRouter::build_plan(const PeerView& peer, Time now) {
 
 std::optional<PacketId> ProphetRouter::next_transfer(const ContactContext& contact,
                                                      const PeerView& peer) {
-  if (!plan_current(peer.self())) build_plan(peer, contact.now);
+  if (!plan_current()) build_plan(peer, contact.now);
   while (direct_cursor_ < direct_order_.size()) {
     const PacketId id = direct_order_[direct_cursor_];
     ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id, peer.self())) continue;
+    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
     if (ctx().packet(id).size > contact.remaining) continue;
     return id;
   }

@@ -38,7 +38,7 @@ Bytes RandomRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_bud
 }
 
 void RandomRouter::build_plan(const PeerView& peer) {
-  mark_plan_built(peer.self());
+  mark_plan_built();
   direct_order_.clear();
   direct_cursor_ = 0;
   shuffled_.clear();
@@ -53,11 +53,11 @@ void RandomRouter::build_plan(const PeerView& peer) {
 
 std::optional<PacketId> RandomRouter::next_transfer(const ContactContext& contact,
                                                     const PeerView& peer) {
-  if (!plan_current(peer.self())) build_plan(peer);
+  if (!plan_current()) build_plan(peer);
   while (direct_cursor_ < direct_order_.size()) {
     const PacketId id = direct_order_[direct_cursor_];
     ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id, peer.self())) continue;
+    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
     if (ctx().packet(id).size > contact.remaining) continue;
     return id;
   }

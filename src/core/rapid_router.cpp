@@ -9,11 +9,25 @@
 
 namespace rapid {
 
+namespace {
+
+// The paper restricts the meeting-time estimate to h = 3 hops.
+constexpr int kMaxHops = 3;
+
+// Bound on the per-contact replica-estimate/record exchange (priorities 4
+// and 5 of the control channel) as a fraction of the metadata budget,
+// freshest records first. Keeps the control channel at the few-percent
+// overhead the paper reports (Table 3, Fig 9) instead of letting the relay
+// grow with the total packet population.
+constexpr double kRelayBudgetFraction = 0.05;
+
+}  // namespace
+
 RapidRouter::RapidRouter(NodeId self, Bytes buffer_capacity, const SimContext* ctx,
                          const RapidConfig& config, std::shared_ptr<GlobalChannel> global)
     : Router(self, buffer_capacity, ctx),
       config_(config),
-      matrix_(self, ctx->num_nodes, config.max_hops),
+      matrix_(self, ctx->num_nodes, kMaxHops),
       global_(std::move(global)),
       link_slot_(static_cast<std::size_t>(ctx->num_nodes), -1),
       cache_(ctx->num_nodes) {
@@ -313,10 +327,10 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
 
   // Priorities 4 and 5: fresh estimates for our own buffered packets and
   // relayed third-party records changed since the last exchange, freshest
-  // first, bounded by the relay budget (see RapidConfig). rapid-local mode
-  // only ever describes this node's own buffer.
+  // first, bounded by the relay budget (kRelayBudgetFraction). rapid-local
+  // mode only ever describes this node's own buffer.
   const Bytes relay_budget =
-      used + static_cast<Bytes>(config_.relay_budget_fraction * static_cast<double>(budget));
+      used + static_cast<Bytes>(kRelayBudgetFraction * static_cast<double>(budget));
   const auto relay_fits = [&](Bytes cost) {
     return used + cost <= std::min(relay_budget, budget);
   };
@@ -379,7 +393,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
 }
 
 void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerView& peer) {
-  mark_plan_built(peer.self());
+  mark_plan_built();
   direct_order_.clear();
   direct_cursor_ = 0;
   replication_order_.clear();
@@ -453,7 +467,7 @@ void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerVi
 
 std::optional<PacketId> RapidRouter::next_transfer(const ContactContext& contact,
                                                    const PeerView& peer) {
-  if (!plan_current(peer.self())) build_contact_plan(contact, peer);
+  if (!plan_current()) build_contact_plan(contact, peer);
 
   // Direct delivery first.
   while (direct_cursor_ < direct_order_.size()) {
@@ -461,7 +475,7 @@ std::optional<PacketId> RapidRouter::next_transfer(const ContactContext& contact
     ++direct_cursor_;
     if (!buffer().contains(id)) continue;
     const Packet& p = ctx().packet(id);
-    if (peer.has_received(id) || contact_skipped(id, peer.self())) continue;
+    if (peer.has_received(id) || contact_skipped(id)) continue;
     if (p.size > contact.remaining) continue;
     return id;
   }

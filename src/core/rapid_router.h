@@ -43,7 +43,6 @@ namespace rapid {
 struct RapidConfig {
   RoutingMetric metric = RoutingMetric::kAvgDelay;
   ControlChannelMode control = ControlChannelMode::kInBand;
-  int max_hops = 3;  // paper restricts the meeting-time estimate to h = 3
   UtilityParams utility;
   // Reserved scale for "no information yet": destinations unreachable within
   // h hops contribute zero marginal utility (§4.1.2 sets their expected
@@ -51,12 +50,6 @@ struct RapidConfig {
   // bandwidth only (work conservation). This knob only anchors reporting of
   // capped delays in diagnostics.
   double prior_meeting_time = 6.0 * kSecondsPerHour;
-  // Bound on the per-contact replica-estimate/record exchange (priorities 4
-  // and 5 of the control channel) as a fraction of the metadata budget,
-  // freshest records first. Keeps the control channel at the few-percent
-  // overhead the paper reports (Table 3, Fig 9) instead of letting the
-  // relay grow with the total packet population.
-  double relay_budget_fraction = 0.05;
   // Prior for the expected transfer-opportunity size before any is observed.
   Bytes prior_opportunity_bytes = 100_KB;
   // Memoize per-packet delay estimates and replica-rate sums with
@@ -166,9 +159,8 @@ class RapidRouter : public Router {
 
   // Per-contact cached orderings (the candidate set is stable within a
   // contact; see DESIGN.md on work conservation). Validity is tracked by the
-  // base Router's plan-cache helpers, keyed by the peer the plan was built
-  // for, so interleaved concurrent sessions rebuild instead of reusing
-  // another peer's ordering.
+  // base Router's plan-cache helpers, which invalidate at every contact
+  // boundary.
   std::vector<PacketId> direct_order_;
   std::size_t direct_cursor_ = 0;
   std::vector<Candidate> replication_order_;

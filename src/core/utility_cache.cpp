@@ -68,7 +68,6 @@ void UtilityCache::queue_insert(NodeId dst, const QueueEntry& e) {
     nonempty_.insert(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst), dst);
   q.entries.insert(std::upper_bound(q.entries.begin(), q.entries.end(), e), e);
   q.total_bytes += e.size;
-  ++q.generation;
   for (auto& [size, count] : q.size_counts) {
     if (size == e.size) {
       ++count;
@@ -89,7 +88,6 @@ void UtilityCache::queue_erase(NodeId dst, const QueueEntry& e) {
   if (q.entries.empty())
     nonempty_.erase(std::lower_bound(nonempty_.begin(), nonempty_.end(), dst));
   q.total_bytes -= size;
-  ++q.generation;
   for (std::size_t i = 0; i < q.size_counts.size(); ++i) {
     if (q.size_counts[i].first == size) {
       if (--q.size_counts[i].second == 0) {

@@ -13,9 +13,9 @@
 //  * Per-destination packet queues live in flat contiguous storage (packed
 //    age-sorted entry vectors, one per destination queued for so far,
 //    behind a direct slot index) instead of a node-keyed map of vectors,
-//    with per-queue *generation* counters and an incrementally maintained
-//    size histogram so the prefix-bytes term of Algorithm 2 is O(log n) for
-//    the uniform-size workloads of Table 4.
+//    with an incrementally maintained size histogram so the prefix-bytes
+//    term of Algorithm 2 is O(log n) for the uniform-size workloads of
+//    Table 4.
 //  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
 //    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a packed entry vector
 //    reached through a direct slot-by-PacketId index, each value keyed by
@@ -132,16 +132,12 @@ class UtilityCache {
   void queue_insert(NodeId dst, const QueueEntry& e);
   // Erases the entry with e's (created, id) key; no-op if absent.
   void queue_erase(NodeId dst, const QueueEntry& e);
-  // An absent destination reads as an empty queue at generation 0.
+  // An absent destination reads as an empty queue.
   const std::vector<QueueEntry>& queue(NodeId dst) const;
   // Bytes queued ahead of e (the b_j(i) term of Algorithm 2): the byte sum of
   // all strictly older entries. O(log n) when the queue holds one distinct
   // packet size (the maintained histogram), O(position) otherwise.
   Bytes queue_bytes_before(NodeId dst, const QueueEntry& e) const;
-  std::uint64_t queue_generation(NodeId dst) const {
-    const DestQueue* q = find_queue(dst);
-    return q != nullptr ? q->generation : 0;
-  }
   // Non-empty queues in ascending destination order (deterministic, unlike
   // the node-keyed hash map this storage replaced). fn returns false to stop
   // early (e.g. when a metadata budget is exhausted). Iterates the maintained
@@ -215,7 +211,6 @@ class UtilityCache {
  private:
   struct DestQueue {
     std::vector<QueueEntry> entries;  // sorted by (created, id)
-    std::uint64_t generation = 0;
     // Histogram of distinct packet sizes present; one bucket in the uniform
     // case, which enables the O(log n) prefix-bytes fast path.
     std::vector<std::pair<Bytes, std::uint32_t>> size_counts;
@@ -258,7 +253,7 @@ class UtilityCache {
 
   // Destinations this router has queued for, packed in order of first
   // insert and reached through a direct slot index (a queue that empties
-  // keeps its slot and its generation).
+  // keeps its slot).
   std::vector<std::int32_t> queue_slot_;  // NodeId -> queues_ slot, -1 = absent
   std::vector<DestQueue> queues_;
   std::vector<NodeId> nonempty_;     // dsts with entries, sorted ascending

@@ -1,38 +1,76 @@
 #include "dtn/contact_session.h"
 
 #include <algorithm>
-#include <limits>
-#include <stdexcept>
 
 #include "obs/obs.h"
+#include "util/rng.h"
 
 namespace rapid {
 
 namespace {
-constexpr Bytes kNoLimit = std::numeric_limits<Bytes>::max();
-}
 
-ContactSession::ContactSession(Router& a, Router& b, const Meeting& meeting,
-                               int meeting_index, const ContactConfig& config,
-                               const PacketPool& pool, MetricsCollector& metrics)
-    : a_(a),
-      b_(b),
-      meeting_(meeting),
-      meeting_index_(meeting_index),
-      config_(config),
-      pool_(pool),
-      metrics_(metrics) {}
+// The state of one contact while run_contact drives it.
+class Contact {
+ public:
+  Contact(Router& a, Router& b, const Meeting& meeting, int meeting_index,
+          const ContactConfig& config, const PacketPool& pool, MetricsCollector& metrics)
+      : a_(a),
+        b_(b),
+        meeting_(meeting),
+        meeting_index_(meeting_index),
+        config_(config),
+        pool_(pool),
+        metrics_(metrics) {}
 
-Bytes& ContactSession::send_budget(bool from_a) {
+  ContactStats run() {
+    open();
+    transfer();
+    close();
+    return stats_;
+  }
+
+ private:
+  Router& sender(bool from_a) { return from_a ? a_ : b_; }
+  Router& receiver(bool from_a) { return from_a ? b_ : a_; }
+  Bytes& send_budget(bool from_a);
+  void open();
+  void transfer();
+  void perform_transfer(bool from_a, const Packet& p);
+  void charge_partial(bool from_a, const Packet& p, Bytes bytes);
+  void close();
+
+  Router& a_;
+  Router& b_;
+  const Meeting& meeting_;
+  const int meeting_index_;
+  const ContactConfig& config_;
+  const PacketPool& pool_;
+  MetricsCollector& metrics_;
+
+  ContactStats stats_;
+
+  // Shared pool when symmetric (budget_ab_ is THE budget); directional
+  // budgets otherwise.
+  Bytes budget_ab_ = 0;
+  Bytes budget_ba_ = 0;
+  // Data bytes the link will carry before the policy cut, or < 0 for none.
+  Bytes data_cutoff_ = -1;
+  Bytes data_moved_ = 0;
+
+  // Link-fault state, armed in open() only when config_.fault is live for
+  // this pair: the per-pair loss probability and the per-meeting corruption
+  // stream (split by meeting index, like the interruption draw).
+  bool corrupt_enabled_ = false;
+  double loss_prob_ = 0.0;
+  Rng corrupt_rng_{0};
+};
+
+Bytes& Contact::send_budget(bool from_a) {
   if (!config_.link.asymmetric()) return budget_ab_;  // shared pool
   return from_a ? budget_ab_ : budget_ba_;
 }
 
-void ContactSession::open() {
-  if (state_ != SessionState::kIdle)
-    throw std::logic_error("ContactSession::open: session already opened");
-  state_ = SessionState::kOpen;
-
+void Contact::open() {
   RAPID_OBS_INC(kContactSessions);
   RAPID_OBS_HIST(kContactCapacityBytes, meeting_.capacity);
   RAPID_OBS_TRACE(kContactOpen, meeting_.time, a_.self(), b_.self(), kNoPacket,
@@ -141,15 +179,7 @@ void ContactSession::open() {
   }
 }
 
-bool ContactSession::exhausted() const {
-  if (state_ != SessionState::kOpen) return true;
-  if (a_done_ && b_done_) return true;
-  if (data_cutoff_ >= 0 && data_moved_ >= data_cutoff_) return false;  // cut pending
-  if (!config_.link.asymmetric()) return budget_ab_ <= 0;
-  return budget_ab_ <= 0 && budget_ba_ <= 0;
-}
-
-void ContactSession::charge_partial(bool from_a, const Packet& p, Bytes bytes) {
+void Contact::charge_partial(bool from_a, const Packet& p, Bytes bytes) {
   stats_.data_bytes += bytes;
   stats_.partial_bytes += bytes;
   ++stats_.partial_transfers;
@@ -160,7 +190,7 @@ void ContactSession::charge_partial(bool from_a, const Packet& p, Bytes bytes) {
                   receiver(from_a).self(), p.id, bytes);
 }
 
-void ContactSession::perform_transfer(bool from_a, const Packet& p) {
+void Contact::perform_transfer(bool from_a, const Packet& p) {
   Router& snd = sender(from_a);
   Router& rcv = receiver(from_a);
   const std::int64_t aux = snd.transfer_aux(p, rcv);
@@ -216,133 +246,75 @@ void ContactSession::perform_transfer(bool from_a, const Packet& p) {
   }
 }
 
-Bytes ContactSession::transfer(Bytes max_bytes) {
-  if (state_ != SessionState::kOpen) return 0;
+void Contact::transfer() {
   RAPID_OBS_PHASE(kTransfer);
-  const Bytes slice = max_bytes < 0 ? kNoLimit : max_bytes;
-  Bytes moved = 0;
-
+  bool a_done = false;
+  bool b_done = false;
+  bool a_turn = true;
   while (true) {
     // The link policy's cut, checked first so a cutoff of zero (metadata ate
     // the surviving capacity) still tears the link down.
     if (data_cutoff_ >= 0 && data_moved_ >= data_cutoff_) {
       stats_.interrupted = true;
-      end_hooks();
-      return moved;
+      return;
     }
-    if (a_done_ && b_done_) return moved;
+    if (a_done && b_done) return;
     if (!config_.link.asymmetric()) {
-      if (budget_ab_ <= 0) return moved;
+      if (budget_ab_ <= 0) return;
     } else if (budget_ab_ <= 0 && budget_ba_ <= 0) {
-      return moved;
+      return;
     }
 
-    // Obtain an offer: resume the parked one, else run the alternation.
-    bool from_a;
-    PacketId pid;
-    if (pending_.valid) {
-      from_a = pending_.from_a;
-      pid = pending_.id;
-      // The world may have moved between slices (a concurrent session evicted
-      // the copy, an ack purged it, another contact delivered or relayed it):
-      // a stale parked offer is dropped, not sent.
-      if (!sender(from_a).buffer().contains(pid) || sender(from_a).knows_ack(pid) ||
-          receiver(from_a).has_received(pid) || receiver(from_a).buffer().contains(pid)) {
-        pending_.valid = false;
-        continue;
-      }
-    } else {
-      from_a = a_turn_ ? !a_done_ : b_done_;
-      a_turn_ = !a_turn_;
-      ContactContext ctx{receiver(from_a).self(), meeting_.time, send_budget(from_a),
-                         meeting_index_};
-      std::optional<PacketId> offer;
-      {
-        // The protocol's candidate evaluation is routing time, distinct from
-        // the transfer mechanics around it.
-        RAPID_OBS_PHASE(kRouting);
-        offer = sender(from_a).next_transfer(ctx, receiver(from_a));
-      }
-      if (!offer.has_value()) {
-        (from_a ? a_done_ : b_done_) = true;
-        continue;
-      }
-      pid = *offer;
+    const bool from_a = a_turn ? !a_done : b_done;
+    a_turn = !a_turn;
+    const ContactContext ctx{meeting_.time, send_budget(from_a), meeting_index_};
+    std::optional<PacketId> offer;
+    {
+      // The protocol's candidate evaluation is routing time, distinct from
+      // the transfer mechanics around it.
+      RAPID_OBS_PHASE(kRouting);
+      offer = sender(from_a).next_transfer(ctx, receiver(from_a));
+    }
+    if (!offer.has_value()) {
+      (from_a ? a_done : b_done) = true;
+      continue;
     }
 
-    const Packet& p = pool_.get(pid);
+    const Packet& p = pool_.get(*offer);
     if (p.size > send_budget(from_a)) {
       // The protocol offered something that no longer fits; this side is done.
-      pending_.valid = false;
-      (from_a ? a_done_ : b_done_) = true;
+      (from_a ? a_done : b_done) = true;
       continue;
     }
     if (data_cutoff_ >= 0 && data_moved_ + p.size > data_cutoff_) {
       // The link dies while this copy is in the air: charge the bytes it
       // burned, discard the incomplete copy, and end the contact.
       const Bytes burned = data_cutoff_ - data_moved_;
-      pending_.valid = false;
       charge_partial(from_a, p, burned);
-      moved += burned;
       data_moved_ += burned;
       stats_.interrupted = true;
-      end_hooks();
-      return moved;
+      return;
     }
-    if (moved > 0 && moved + p.size > slice) {
-      // Park the offer for the next slice; the protocol is not re-asked, so
-      // its per-contact cursors see exactly one next_transfer per copy. A
-      // slice smaller than one packet still moves that packet: copies are
-      // atomic on the air, so the slice is a soft boundary.
-      pending_ = PendingOffer{true, from_a, pid};
-      return moved;
-    }
-    pending_.valid = false;
     perform_transfer(from_a, p);
-    moved += p.size;
   }
 }
 
-void ContactSession::interrupt(Bytes in_flight) {
-  if (state_ != SessionState::kOpen) return;
-  if (pending_.valid && in_flight > 0) {
-    const Packet& p = pool_.get(pending_.id);
-    const Bytes burned =
-        std::min({in_flight, p.size - 1, send_budget(pending_.from_a)});
-    if (burned > 0) {
-      charge_partial(pending_.from_a, p, burned);
-      data_moved_ += burned;
-    }
-  }
-  pending_.valid = false;
-  stats_.interrupted = true;
-  end_hooks();
-}
-
-void ContactSession::close() {
-  if (state_ != SessionState::kOpen) return;
-  end_hooks();
-}
-
-void ContactSession::end_hooks() {
+void Contact::close() {
   {
     RAPID_OBS_PHASE(kRouting);
     a_.contact_end(b_, meeting_.time);
     b_.contact_end(a_, meeting_.time);
   }
-  state_ = SessionState::kClosed;
   RAPID_OBS_TRACE(kContactClose, meeting_.time, a_.self(), b_.self(),
                   static_cast<PacketId>(stats_.interrupted ? 1 : 0), data_moved_);
 }
 
+}  // namespace
+
 ContactStats run_contact(Router& x, Router& y, const Meeting& meeting, int meeting_index,
                          const ContactConfig& config, const PacketPool& pool,
                          MetricsCollector& metrics) {
-  ContactSession session(x, y, meeting, meeting_index, config, pool, metrics);
-  session.open();
-  session.transfer();
-  session.close();
-  return session.stats();
+  return Contact(x, y, meeting, meeting_index, config, pool, metrics).run();
 }
 
 }  // namespace rapid

@@ -1,26 +1,19 @@
-// ContactSession: one transfer opportunity as an explicit state machine.
+// run_contact: one transfer opportunity, §3.4's protocol run start to finish.
 //
-// The legacy run_contact() ran §3.4's symmetric protocol as a monolithic
-// loop, which hard-codes three assumptions the paper's own deployment notes
-// violate: contacts end cleanly ("when out of radio range" means they can end
-// MID-transfer), bandwidth is one shared symmetric pool, and a node talks to
-// one peer at a time. A ContactSession removes all three:
+//   1. observe_opportunity on both sides, then the link-policy and link-fault
+//      draws for this meeting;
+//   2. metadata / ack exchange (contact_begin), charged per config;
+//   3. alternating next_transfer offers until both sides are done, the data
+//      budget is spent, or the link policy cuts the contact — the copy
+//      crossing the cut is charged for the bytes it burned and discarded;
+//   4. contact_end on both sides.
 //
-//   open()              metadata / ack exchange, link-policy draw
-//   transfer(slice)     alternating transfers, at most `slice` data bytes;
-//                       an offer that does not fit the slice is parked and
-//                       re-issued on the next slice (no protocol state skew)
-//   interrupt() /       the link dies mid-transfer: the copy in the air is
-//     policy cutoff     discarded, the bytes it burned are still charged
-//   close()             contact_end hooks, stats final
-//
-// Sessions hold no global router state — per-peer skip sets and per-peer plan
-// invalidation in the protocols let multiple sessions per node stay open
-// concurrently (interleave transfer() calls as link schedules dictate).
-//
-// With interruption disabled and a shared symmetric budget, a full-drain
-// session (open / transfer() / close) reproduces the legacy loop
-// bit-identically; run_contact() is now exactly that wrapper.
+// The engine runs contacts one at a time, so a router is in at most one open
+// contact (dtn/router.h relies on this). Two properties of real links are
+// modelled: a contact can end mid-transfer (LinkPolicy::interruption_rate)
+// and the two directions can carry separate budgets
+// (LinkPolicy::forward_fraction). With neither, both directions draw from
+// one shared pool, as in the paper's simulations.
 #pragma once
 
 #include "dtn/metrics.h"
@@ -28,7 +21,6 @@
 #include "dtn/router.h"
 #include "dtn/schedule.h"
 #include "fault/fault_config.h"
-#include "util/rng.h"
 
 namespace rapid {
 
@@ -85,95 +77,9 @@ struct ContactStats {
   bool metadata_degraded = false;
 };
 
-enum class SessionState { kIdle, kOpen, kClosed };
-
-class ContactSession {
- public:
-  static constexpr Bytes kUnboundedSlice = -1;
-
-  ContactSession(Router& a, Router& b, const Meeting& meeting, int meeting_index,
-                 const ContactConfig& config, const PacketPool& pool,
-                 MetricsCollector& metrics);
-
-  SessionState state() const { return state_; }
-  const ContactStats& stats() const { return stats_; }
-
-  // Remaining data budget of the a->b direction (the shared pool when the
-  // link is symmetric).
-  Bytes budget_forward() const { return budget_ab_; }
-  Bytes budget_reverse() const { return config_.link.asymmetric() ? budget_ba_ : budget_ab_; }
-
-  // Opens the link: opportunity observation, link-policy draw, metadata
-  // exchange (charged per config). Must be called exactly once, first.
-  void open();
-
-  // Runs the alternating transfer protocol until `max_bytes` of data moved in
-  // this slice, the budget is exhausted, both sides are done, or the link
-  // policy cuts the contact. Copies are atomic on the air, so `max_bytes` is
-  // a soft boundary: a non-empty slice always moves at least one fitting
-  // copy, and the first offer that overflows the slice is parked and crosses
-  // first on the next call. Returns the data bytes moved by this slice
-  // (including the charged bytes of a terminal partial transfer).
-  Bytes transfer(Bytes max_bytes = kUnboundedSlice);
-
-  // True once no further transfer() call can move bytes.
-  bool exhausted() const;
-
-  // Tear the link down NOW, as if the radios lost range. If `in_flight` > 0
-  // and an offer is parked from a sliced transfer(), that many bytes of it
-  // (capped at its size - 1 and at the sender's budget) are charged as a
-  // discarded partial copy. Runs the contact_end hooks.
-  void interrupt(Bytes in_flight = 0);
-
-  // Graceful close: runs the contact_end hooks. Call after draining.
-  void close();
-
- private:
-  struct PendingOffer {
-    bool valid = false;
-    bool from_a = false;
-    PacketId id = kNoPacket;
-  };
-
-  Router& sender(bool from_a) { return from_a ? a_ : b_; }
-  Router& receiver(bool from_a) { return from_a ? b_ : a_; }
-  Bytes& send_budget(bool from_a);
-  void perform_transfer(bool from_a, const Packet& p);
-  void charge_partial(bool from_a, const Packet& p, Bytes bytes);
-  void end_hooks();
-
-  Router& a_;
-  Router& b_;
-  Meeting meeting_;
-  int meeting_index_;
-  ContactConfig config_;
-  const PacketPool& pool_;
-  MetricsCollector& metrics_;
-
-  SessionState state_ = SessionState::kIdle;
-  ContactStats stats_;
-
-  // Shared pool when symmetric (budget_ab_ is THE budget); directional
-  // budgets otherwise.
-  Bytes budget_ab_ = 0;
-  Bytes budget_ba_ = 0;
-  // Data bytes the link will carry before the policy cut, or < 0 for none.
-  Bytes data_cutoff_ = -1;
-  Bytes data_moved_ = 0;
-
-  bool a_done_ = false;
-  bool b_done_ = false;
-  bool a_turn_ = true;
-  PendingOffer pending_;
-
-  // Link-fault state, armed in open() only when config_.fault is live for
-  // this pair: the per-pair loss probability and the per-meeting corruption
-  // stream (split by meeting index, like the interruption draw).
-  bool corrupt_enabled_ = false;
-  double loss_prob_ = 0.0;
-  Rng corrupt_rng_{0};
-};
-
+// Runs the contact between `x` (the meeting's a side) and `y` to completion.
+// `meeting_index` keys the per-meeting link-policy and fault draws, so the
+// outcome is independent of sweep execution order and thread count.
 ContactStats run_contact(Router& x, Router& y, const Meeting& meeting, int meeting_index,
                          const ContactConfig& config, const PacketPool& pool,
                          MetricsCollector& metrics);

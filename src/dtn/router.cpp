@@ -25,7 +25,7 @@ Router::Router(NodeId self, Bytes buffer_capacity, const SimContext* ctx)
   // per-packet tables once avoids growth churn on the contact path.
   if (ctx_ != nullptr && ctx_->pool != nullptr && ctx_->pool->size() > 0) {
     received_.resize(ctx_->pool->size(), 0);
-    skip_marks_.resize(ctx_->pool->size());
+    skip_epoch_.resize(ctx_->pool->size(), 0);
   }
 }
 
@@ -42,20 +42,18 @@ bool Router::on_generate(const Packet& p) {
 
 void Router::observe_opportunity(Bytes /*capacity*/, NodeId /*peer*/, Time /*now*/) {}
 
-Bytes Router::contact_begin(const PeerView& peer, Time /*now*/, Bytes /*meta_budget*/) {
-  // Epoch bump = O(1) clear of this peer's skip marks.
-  const auto idx = static_cast<std::size_t>(peer.self());
-  if (idx >= peer_epoch_.size()) peer_epoch_.resize(idx + 1, 0);
-  peer_epoch_[idx] = ++epoch_counter_;
-  invalidate_plan();
+Bytes Router::contact_begin(const PeerView& /*peer*/, Time /*now*/, Bytes /*meta_budget*/) {
+  // Epoch bump = O(1) clear of the skip marks.
+  ++epoch_;
+  plan_built_ = false;
   return 0;
 }
 
 void Router::on_transfer_success(const Packet& /*p*/, const PeerView& /*peer*/,
                                  ReceiveOutcome /*outcome*/, Time /*now*/) {}
 
-void Router::on_transfer_failed(const Packet& p, const PeerView& peer, Time /*now*/) {
-  mark_skipped(p.id, peer.self());
+void Router::on_transfer_failed(const Packet& p, const PeerView& /*peer*/, Time /*now*/) {
+  mark_skipped(p.id);
 }
 
 ReceiveOutcome Router::receive_copy(const Packet& p, const PeerView& from, std::int64_t aux,
@@ -76,55 +74,18 @@ ReceiveOutcome Router::receive_copy(const Packet& p, const PeerView& from, std::
   return ReceiveOutcome::kStored;
 }
 
-void Router::contact_end(const PeerView& peer, Time /*now*/) {
+void Router::contact_end(const PeerView& /*peer*/, Time /*now*/) {
   // Bump again so marks set during the contact go stale immediately.
-  const auto idx = static_cast<std::size_t>(peer.self());
-  if (idx >= peer_epoch_.size()) peer_epoch_.resize(idx + 1, 0);
-  peer_epoch_[idx] = ++epoch_counter_;
-  invalidate_plan();
+  ++epoch_;
+  plan_built_ = false;
 }
 
 std::int64_t Router::transfer_aux(const Packet& /*p*/, const PeerView& /*peer*/) { return 0; }
 
-void Router::mark_skipped(PacketId id, NodeId peer) {
-  const std::uint32_t epoch = peer_epoch(peer);
-  SkipMark& mark = grow_slot(skip_marks_, id);
-  // Reuse the primary lane unless another peer holds a *live* mark in it
-  // (concurrent sessions); then spill to the overflow list.
-  if (mark.peer == peer || mark.peer == kNoNode || mark.epoch != peer_epoch(mark.peer)) {
-    mark = SkipMark{epoch, peer};
-    return;
-  }
-  // Compact stale overflow entries opportunistically before growing.
-  if (skip_overflow_.size() >= 32) {
-    std::size_t live = 0;
-    for (const OverflowMark& o : skip_overflow_)
-      if (o.epoch == peer_epoch(o.peer)) skip_overflow_[live++] = o;
-    skip_overflow_.resize(live);
-  }
-  for (OverflowMark& o : skip_overflow_) {
-    if (o.id == id && o.peer == peer) {
-      o.epoch = epoch;
-      return;
-    }
-  }
-  skip_overflow_.push_back(OverflowMark{epoch, peer, id});
-}
-
-bool Router::contact_skipped(PacketId id, NodeId peer) const {
-  if (id >= 0 && static_cast<std::size_t>(id) < skip_marks_.size()) {
-    const SkipMark& mark = skip_marks_[static_cast<std::size_t>(id)];
-    if (mark.peer == peer) return mark.epoch != 0 && mark.epoch == peer_epoch(peer);
-  }
-  if (!skip_overflow_.empty()) {
-    for (const OverflowMark& o : skip_overflow_)
-      if (o.id == id && o.peer == peer) return o.epoch != 0 && o.epoch == peer_epoch(peer);
-  }
-  return false;
-}
+void Router::mark_skipped(PacketId id) { grow_slot(skip_epoch_, id) = epoch_; }
 
 bool Router::peer_wants(const PeerView& peer, const Packet& p) const {
-  if (contact_skipped(p.id, peer.self())) return false;
+  if (contact_skipped(p.id)) return false;
   if (peer.has_packet(p.id)) return false;
   if (peer.has_received(p.id)) return false;
   if (knows_ack(p.id) || peer.knows_ack(p.id)) return false;

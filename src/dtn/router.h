@@ -1,10 +1,8 @@
 // The routing-protocol contract.
 //
-// The engine owns one Router per node. Contacts run through a ContactSession
-// (dtn/contact_session.h): sessions open, transfer in byte-budget slices, and
-// close, so a contact can be interrupted mid-transfer, carry asymmetric
-// per-direction budgets, and coexist with other sessions on the same node.
-// Within a session the protocol hooks fire in the classic order:
+// The engine owns one Router per node and runs contacts one at a time through
+// run_contact (dtn/contact_session.h), so a router is in at most one open
+// contact. Within a contact the protocol hooks fire in the classic order:
 //
 //   1. contact_begin on both sides — metadata / ack exchange, charged against
 //      the transfer opportunity;
@@ -24,9 +22,9 @@
 //
 // Hot-path state is flat: packet ids are dense pool indexes, so delivery
 // receipts and acknowledgments are direct-indexed tables (dtn/ack_table.h),
-// and the per-contact skip sets are epoch-stamped marks — contact_begin
-// bumps the peer's epoch instead of clearing a container, which makes the
-// reset O(1) and the whole contact path allocation-free.
+// and the per-contact skip set is one epoch stamp per packet — contact_begin
+// and contact_end bump the router's epoch instead of clearing a container,
+// which makes the reset O(1) and the whole contact path allocation-free.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +64,7 @@ struct ScratchArena {
 
 // Global-knowledge escape hatch. Regular protocols must not reach other
 // nodes' routers — everything they may know about a peer travels through the
-// PeerView of an open session. The oracle exists for the instant-global-
+// PeerView of an open contact. The oracle exists for the instant-global-
 // control-channel modes of §6.2.3 (and for tests), which by definition see
 // the true global state out of band.
 class RouterOracle {
@@ -102,7 +100,6 @@ struct SimContext {
 };
 
 struct ContactContext {
-  NodeId peer = kNoNode;
   Time now = 0;
   Bytes remaining = 0;     // bytes left in this side's transfer budget
   int meeting_index = -1;  // position of this meeting in the schedule
@@ -124,7 +121,6 @@ enum class ReceiveOutcome {
 //   * delivery-acknowledgment exchange (learn_ack / acks);
 //   * `as<Protocol>()` — the typed channel: same-protocol peers may exchange
 //     richer state (meeting matrices, replica estimates, likelihood vectors).
-// The raw Router reference stays private to the session machinery.
 class PeerView {
  public:
   /*implicit*/ PeerView(Router& router) : router_(&router) {}
@@ -147,10 +143,6 @@ class PeerView {
   }
 
  private:
-  friend class Router;
-  friend class ContactSession;
-  Router& router() const { return *router_; }
-
   Router* router_;
 };
 
@@ -173,7 +165,7 @@ class Router {
   // per policy if needed); returns false if the packet could not be stored.
   virtual bool on_generate(const Packet& p);
 
-  // Called by the session at every meeting, before contact_begin, with the
+  // Called by run_contact at every meeting, before contact_begin, with the
   // size of the transfer opportunity; protocols that track "average size of
   // past transfers" (RAPID Alg. 2 step 3, MaxProp's threshold) observe here.
   virtual void observe_opportunity(Bytes capacity, NodeId peer, Time now);
@@ -183,7 +175,7 @@ class Router {
   virtual Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget);
 
   // The next packet this side wants to push to `peer`, or nullopt when done.
-  // Must not return packets in the per-peer skip set; must re-evaluate
+  // Must not return packets in the contact's skip set; must re-evaluate
   // utilities on every call (work conservation).
   virtual std::optional<PacketId> next_transfer(const ContactContext& contact,
                                                 const PeerView& peer) = 0;
@@ -192,7 +184,7 @@ class Router {
   virtual void on_transfer_success(const Packet& p, const PeerView& peer,
                                    ReceiveOutcome outcome, Time now);
   // Sender-side notification that `peer` rejected the packet (no room); the
-  // base class adds it to that peer's contact skip set.
+  // base class adds it to the contact's skip set.
   virtual void on_transfer_failed(const Packet& p, const PeerView& peer, Time now);
 
   // Receiver-side entry point; implements delivery/duplicate/storage
@@ -231,7 +223,7 @@ class Router {
   // Serializes the behaviorally significant state (buffer in packed order,
   // delivery receipts, ack table in insertion order, drop count, RNG state);
   // protocol subclasses extend with their own state. Called only between
-  // events (no open contact sessions), so per-contact plan caches and
+  // events (no open contact), so per-contact plan caches and
   // epoch-stamped skip marks — stale by design between contacts — are not
   // serialized and restore cold. save_state must not perturb behavior:
   // restored-and-continued runs are bit-identical to uninterrupted ones
@@ -253,11 +245,13 @@ class Router {
   // True if `peer` could use a copy of p: peer is not known (to us or to it)
   // to have the packet already.
   bool peer_wants(const PeerView& peer, const Packet& p) const;
-  // Skip sets are kept per peer so that concurrent sessions with different
-  // peers do not poison each other's candidate lists. Marks are epoch-
-  // stamped per (packet, peer): contact_begin/contact_end bump the peer's
-  // epoch, which invalidates that peer's marks in O(1).
-  bool contact_skipped(PacketId id, NodeId peer) const;
+  // True if packet `id` was marked skipped during the open contact. A mark
+  // is the router's epoch at marking time; contact_begin and contact_end
+  // bump the epoch, which invalidates every mark in O(1).
+  bool contact_skipped(PacketId id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < skip_epoch_.size() &&
+           skip_epoch_[static_cast<std::size_t>(id)] == epoch_;
+  }
 
  protected:
   // Learn that packet `id` was delivered at `when`; purges the buffered copy.
@@ -278,13 +272,11 @@ class Router {
   virtual void on_delivered_here(const Packet& p, Time now);
 
   // Per-contact plan-cache bookkeeping shared by the protocol
-  // implementations: a cached transmission plan is valid for exactly one
-  // peer, so interleaved concurrent sessions rebuild on every peer switch.
-  // The base contact_begin/contact_end invalidate automatically; protocols
+  // implementations: a cached transmission plan is valid for the rest of the
+  // open contact. The base contact_begin/contact_end invalidate it; protocols
   // call mark_plan_built after building and plan_current before using.
-  bool plan_current(NodeId peer) const { return plan_built_for_ == peer; }
-  void mark_plan_built(NodeId peer) { plan_built_for_ = peer; }
-  void invalidate_plan() { plan_built_for_ = kNoNode; }
+  bool plan_current() const { return plan_built_; }
+  void mark_plan_built() { plan_built_ = true; }
 
   // The shared contact-processing scratch (SimContext's when provided, a
   // private one otherwise). Borrow, use, leave the capacity behind.
@@ -295,26 +287,7 @@ class Router {
  private:
   friend class PeerView;
 
-  // One epoch-stamped skip mark. The common case is one live mark per
-  // packet (contacts run sequentially); when concurrent sessions mark the
-  // same packet for different peers, the extra marks spill into a small
-  // overflow list so no peer's mark is ever lost.
-  struct SkipMark {
-    std::uint32_t epoch = 0;
-    NodeId peer = kNoNode;
-  };
-  struct OverflowMark {
-    std::uint32_t epoch = 0;
-    NodeId peer = kNoNode;
-    PacketId id = kNoPacket;
-  };
-
-  void mark_skipped(PacketId id, NodeId peer);
-  std::uint32_t peer_epoch(NodeId peer) const {
-    return static_cast<std::size_t>(peer) < peer_epoch_.size()
-               ? peer_epoch_[static_cast<std::size_t>(peer)]
-               : 0;
-  }
+  void mark_skipped(PacketId id);
 
   NodeId self_;
   Buffer buffer_;
@@ -322,12 +295,11 @@ class Router {
   Rng rng_;
   std::vector<std::uint8_t> received_;  // delivered to this node (we are dst)
   AckTable acked_;                      // known-delivered packets
-  // Per-(packet, peer) epoch skip marks; see contact_skipped.
-  std::vector<SkipMark> skip_marks_;
-  std::vector<OverflowMark> skip_overflow_;
-  std::vector<std::uint32_t> peer_epoch_;
-  std::uint32_t epoch_counter_ = 0;
-  NodeId plan_built_for_ = kNoNode;
+  // Per-packet epoch skip marks; see contact_skipped. Starts at 1 so the
+  // zero-initialised marks are never live.
+  std::vector<std::uint32_t> skip_epoch_;
+  std::uint32_t epoch_ = 1;
+  bool plan_built_ = false;
   std::size_t drops_ = 0;
   mutable std::unique_ptr<ScratchArena> own_arena_;  // fallback when ctx has none
 };

@@ -12,13 +12,13 @@
 //     routing state survived — estimates go stale and re-converge, exactly
 //     like a real reboot.
 //
-//   * LinkFaultConfig — per-contact link faults honored by ContactSession:
+//   * LinkFaultConfig — per-contact link faults honored by run_contact:
 //     byte-level copy corruption with a loss probability drawn from a
 //     per-pair process (some radio pairs are persistently worse), and
 //     metadata-channel degradation (a degraded contact keeps only a
 //     fraction of its metadata budget, so routing views desynchronize).
 //
-// This header is dependency-free so both dtn/ (ContactSession) and sim/
+// This header is dependency-free so both dtn/ (run_contact) and sim/
 // (Simulation) can embed the configs without a layering cycle; the event
 // machinery that needs the simulation lives in fault/fault_model.h.
 #pragma once

@@ -21,9 +21,8 @@ std::optional<PacketId> OptimalRouter::next_transfer(const ContactContext& conta
     if (t.from != self() || t.to != peer.self()) continue;
     if (!buffer().contains(t.packet)) continue;  // plan fragment we never received
     const Packet& p = ctx().packet(t.packet);
-    if (peer.has_received(t.packet) || contact_skipped(t.packet, peer.self())) continue;
-    // Interleaved sessions rescan the per-meeting list from the top; a relay
-    // the peer already holds must not burn budget again.
+    if (peer.has_received(t.packet) || contact_skipped(t.packet)) continue;
+    // A planned relay the peer already holds must not burn budget again.
     if (peer.has_packet(t.packet)) continue;
     if (p.size > contact.remaining) continue;
     return t.packet;

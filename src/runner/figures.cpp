@@ -296,15 +296,6 @@ int run_figure(const FigureDef& fig, const Options& options) {
   }
 }
 
-int run_figure_main(const std::string& id, int argc, char** argv) {
-  const FigureDef* fig = find_figure(id);
-  if (fig == nullptr) {
-    std::cerr << "unknown figure: " << id << "\n";
-    return 1;
-  }
-  return run_figure(*fig, Options(argc, argv));
-}
-
 namespace {
 
 void print_usage() {

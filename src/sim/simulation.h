@@ -159,7 +159,7 @@ class Simulation {
   // --- snapshot/restore -------------------------------------------------------
   // Serializes clock, meeting counter, metrics and every router's state.
   // Must be called between events (contacts run to completion inside
-  // dispatch, so there is never session state to capture). Deterministic
+  // dispatch, so there is never open-contact state to capture). Deterministic
   // event sources are not serialized: the restoring side re-creates them
   // from the same inputs and fast-forwards.
   void save_state(BinWriter& out);

@@ -7,7 +7,7 @@
 #include "baselines/prophet.h"
 #include "baselines/random_router.h"
 #include "baselines/spray_wait.h"
-#include "dtn/contact.h"
+#include "dtn/contact_session.h"
 #include "dtn/metrics.h"
 #include "sim/protocols.h"
 

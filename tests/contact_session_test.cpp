@@ -1,12 +1,10 @@
-// ContactSession state-machine tests: sliced transfers vs full drain,
-// mid-transfer interruption (partial-transfer accounting), asymmetric
-// directional budgets, concurrent sessions per node, and the
+// run_contact link-policy tests: the full drain, mid-transfer interruption
+// (partial-transfer accounting), asymmetric directional budgets, and the
 // eviction-refusal (kRejected) path.
 #include <gtest/gtest.h>
 
 #include <deque>
 
-#include "baselines/epidemic.h"
 #include "core/rapid_router.h"
 #include "dtn/contact_session.h"
 #include "dtn/metrics.h"
@@ -22,7 +20,6 @@ class ScriptedRouter : public Router {
 
   Bytes metadata_to_send = 0;
   std::deque<PacketId> script;
-  std::vector<PacketId> sent_ok;
   std::vector<PacketId> sent_fail;
   int end_calls = 0;
 
@@ -35,7 +32,7 @@ class ScriptedRouter : public Router {
                                         const PeerView& peer) override {
     while (!script.empty()) {
       const PacketId id = script.front();
-      if (!buffer().contains(id) || contact_skipped(id, peer.self()) ||
+      if (!buffer().contains(id) || contact_skipped(id) ||
           !peer_wants(peer, ctx().packet(id))) {
         script.pop_front();
         continue;
@@ -45,12 +42,6 @@ class ScriptedRouter : public Router {
       return id;
     }
     return std::nullopt;
-  }
-
-  void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
-                           Time now) override {
-    Router::on_transfer_success(p, peer, outcome, now);
-    sent_ok.push_back(p.id);
   }
 
   void on_transfer_failed(const Packet& p, const PeerView& peer, Time now) override {
@@ -119,44 +110,15 @@ TEST_F(ContactSessionTest, FullDrainReproducesLegacyStats) {
   load(0, 2, 5, 1_KB);
   begin_metrics();
   const Meeting m{0, 1, 10.0, 3_KB};
-  ContactSession session(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
-  EXPECT_EQ(session.state(), SessionState::kIdle);
-  session.open();
-  EXPECT_EQ(session.state(), SessionState::kOpen);
-  session.transfer();
-  EXPECT_TRUE(session.exhausted());
-  session.close();
-  EXPECT_EQ(session.state(), SessionState::kClosed);
-  EXPECT_EQ(session.stats().transfers, 3);
-  EXPECT_EQ(session.stats().data_bytes, 3_KB);
-  EXPECT_EQ(session.stats().partial_transfers, 0);
-  EXPECT_FALSE(session.stats().interrupted);
+  const ContactStats stats =
+      run_contact(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
+  EXPECT_EQ(stats.transfers, 3);
+  EXPECT_EQ(stats.data_bytes, 3_KB);
+  EXPECT_EQ(stats.partial_transfers, 0);
+  EXPECT_FALSE(stats.interrupted);
   EXPECT_EQ(router(1).buffer().count(), 3u);
   EXPECT_EQ(router(0).end_calls, 1);
   EXPECT_EQ(router(1).end_calls, 1);
-}
-
-TEST_F(ContactSessionTest, SlicedTransferMatchesFullDrain) {
-  init(3);
-  load(0, 2, 4, 1_KB);
-  load(1, 2, 4, 1_KB);
-  begin_metrics();
-  const Meeting m{0, 1, 10.0, 6_KB};
-  ContactSession session(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
-  session.open();
-  // Drain in 512-byte slices: copies are atomic, so each slice moves exactly
-  // one 1 KB copy and parks the next offer for the following call.
-  Bytes total = 0;
-  int safety = 0;
-  while (!session.exhausted() && safety++ < 100) total += session.transfer(512);
-  EXPECT_EQ(safety, 6);  // one copy per slice
-  session.close();
-  EXPECT_EQ(total, 6_KB);
-  EXPECT_EQ(session.stats().transfers, 6);
-  EXPECT_EQ(session.stats().data_bytes, 6_KB);
-  // Alternation preserved: both sides moved packets.
-  EXPECT_GE(router(0).sent_ok.size(), 2u);
-  EXPECT_GE(router(1).sent_ok.size(), 2u);
 }
 
 TEST_F(ContactSessionTest, PolicyCutChargesPartialAndDiscardsCopy) {
@@ -168,11 +130,7 @@ TEST_F(ContactSessionTest, PolicyCutChargesPartialAndDiscardsCopy) {
   config.link.min_completion = 0.5;
   config.link.max_completion = 0.5;  // exactly half the opportunity survives
   const Meeting m{0, 1, 10.0, 5_KB};  // cut after 2.5 KB
-  ContactSession session(router(0), router(1), m, 0, config, pool_, metrics_);
-  session.open();
-  session.transfer();
-  EXPECT_EQ(session.state(), SessionState::kClosed);  // the cut closed the link
-  const ContactStats& stats = session.stats();
+  const ContactStats stats = run_contact(router(0), router(1), m, 0, config, pool_, metrics_);
   EXPECT_TRUE(stats.interrupted);
   EXPECT_EQ(stats.transfers, 2);           // two complete copies
   EXPECT_EQ(stats.partial_transfers, 1);   // the third died mid-air
@@ -219,11 +177,7 @@ TEST_F(ContactSessionTest, PolicyCutIsDeterministicPerMeetingIndex) {
     s.duration = 1000;
     metrics.begin(pool, s);
     const Meeting m{0, 1, 10.0, 10_KB};
-    ContactSession session(x, y, m, meeting_index, config, pool, metrics);
-    session.open();
-    session.transfer();
-    session.close();
-    return session.stats().interrupted;
+    return run_contact(x, y, m, meeting_index, config, pool, metrics).interrupted;
   };
   bool saw_cut = false, saw_clean = false;
   for (int i = 0; i < 32; ++i) {
@@ -235,24 +189,6 @@ TEST_F(ContactSessionTest, PolicyCutIsDeterministicPerMeetingIndex) {
   EXPECT_TRUE(saw_clean);
 }
 
-TEST_F(ContactSessionTest, ExplicitInterruptChargesParkedOffer) {
-  init(3);
-  load(0, 2, 3, 1_KB);
-  begin_metrics();
-  const Meeting m{0, 1, 10.0, 10_KB};
-  ContactSession session(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
-  session.open();
-  const Bytes moved = session.transfer(1_KB);  // one copy; next offer parked
-  EXPECT_EQ(moved, 1_KB);
-  session.interrupt(600);  // the parked copy was 600 bytes into the air
-  EXPECT_EQ(session.state(), SessionState::kClosed);
-  EXPECT_TRUE(session.stats().interrupted);
-  EXPECT_EQ(session.stats().partial_transfers, 1);
-  EXPECT_EQ(session.stats().partial_bytes, 600);
-  EXPECT_EQ(session.stats().data_bytes, 1_KB + 600);
-  EXPECT_EQ(router(1).buffer().count(), 1u);
-}
-
 TEST_F(ContactSessionTest, AsymmetricBudgetsBoundEachDirection) {
   init(4);
   const auto forward_ids = load(0, 2, 6, 1_KB);
@@ -261,18 +197,15 @@ TEST_F(ContactSessionTest, AsymmetricBudgetsBoundEachDirection) {
   ContactConfig config;
   config.link.forward_fraction = 0.75;  // a->b gets 3 KB, b->a gets 1 KB
   const Meeting m{0, 1, 10.0, 4_KB};
-  ContactSession session(router(0), router(1), m, 0, config, pool_, metrics_);
-  session.open();
-  session.transfer();
-  session.close();
+  const ContactStats stats = run_contact(router(0), router(1), m, 0, config, pool_, metrics_);
   // Forward direction carried exactly 3 copies, reverse exactly 1.
   for (int i = 0; i < 3; ++i)
     EXPECT_TRUE(router(1).buffer().contains(forward_ids[static_cast<std::size_t>(i)])) << i;
   EXPECT_FALSE(router(1).buffer().contains(forward_ids[3]));
   EXPECT_TRUE(router(0).buffer().contains(reverse_ids[0]));
   EXPECT_FALSE(router(0).buffer().contains(reverse_ids[1]));
-  EXPECT_EQ(session.stats().transfers, 4);
-  EXPECT_EQ(session.stats().data_bytes, 4_KB);
+  EXPECT_EQ(stats.transfers, 4);
+  EXPECT_EQ(stats.data_bytes, 4_KB);
 }
 
 TEST_F(ContactSessionTest, MetadataRidesItsOwnUplinkWhenAsymmetric) {
@@ -283,76 +216,25 @@ TEST_F(ContactSessionTest, MetadataRidesItsOwnUplinkWhenAsymmetric) {
   ContactConfig config;
   config.link.forward_fraction = 0.5;  // 2 KB per direction
   const Meeting m{0, 1, 10.0, 4_KB};
-  ContactSession session(router(0), router(1), m, 0, config, pool_, metrics_);
-  session.open();
-  session.transfer();
-  session.close();
+  const ContactStats stats = run_contact(router(0), router(1), m, 0, config, pool_, metrics_);
   // Node 0's metadata consumed 1 KB of its own 2 KB uplink: one copy crossed.
-  EXPECT_EQ(session.stats().metadata_bytes, 1_KB);
+  EXPECT_EQ(stats.metadata_bytes, 1_KB);
   EXPECT_EQ(router(1).buffer().count(), 1u);
-}
-
-TEST_F(ContactSessionTest, ConcurrentSessionsPerNodeInterleave) {
-  // A real protocol (Epidemic) floods to two peers over two sessions whose
-  // transfer slices interleave: per-peer skip sets and plan invalidation keep
-  // the sessions independent.
-  PacketPool pool;
-  MetricsCollector metrics;
-  SimContext ctx;
-  ctx.pool = &pool;
-  ctx.metrics = &metrics;
-  ctx.num_nodes = 4;
-  const EpidemicConfig config{false};
-  EpidemicRouter a(0, -1, &ctx, config), b(1, -1, &ctx, config), c(2, -1, &ctx, config);
-  std::vector<PacketId> ids;
-  for (int i = 0; i < 3; ++i) {
-    Packet p;
-    p.src = 0;
-    p.dst = 3;
-    p.size = 1_KB;
-    p.created = static_cast<Time>(i);
-    ids.push_back(pool.add(p));
-  }
-  MeetingSchedule s;
-  s.num_nodes = 4;
-  s.duration = 1000;
-  metrics.begin(pool, s);
-  for (PacketId id : ids) a.on_generate(pool.get(id));
-
-  const Meeting with_b{0, 1, 10.0, 10_KB};
-  const Meeting with_c{0, 2, 10.0, 10_KB};
-  ContactSession to_b(a, b, with_b, 0, ContactConfig{}, pool, metrics);
-  ContactSession to_c(a, c, with_c, 1, ContactConfig{}, pool, metrics);
-  to_b.open();
-  to_c.open();
-  int safety = 0;
-  while ((!to_b.exhausted() || !to_c.exhausted()) && safety++ < 100) {
-    to_b.transfer(1_KB);
-    to_c.transfer(1_KB);
-  }
-  to_b.close();
-  to_c.close();
-  for (PacketId id : ids) {
-    EXPECT_TRUE(b.buffer().contains(id)) << id;
-    EXPECT_TRUE(c.buffer().contains(id)) << id;
-  }
 }
 
 TEST_F(ContactSessionTest, EvictionRefusalRejectsAndSkips) {
   init(3);
   // Receiver can hold exactly one packet and refuses to evict (scripted
   // choose_drop_victim returns kNoPacket): later copies come back kRejected,
-  // burn bandwidth, and land in the sender's per-peer skip set.
+  // burn bandwidth, and land in the sender's contact skip set.
   routers_[1] = std::make_unique<ScriptedRouter>(1, 1_KB, &ctx_);
   const auto ids = load(0, 2, 3, 1_KB);
   begin_metrics();
   const Meeting m{0, 1, 10.0, 10_KB};
-  ContactSession session(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
-  session.open();
-  session.transfer();
-  session.close();
+  const ContactStats stats =
+      run_contact(router(0), router(1), m, 0, ContactConfig{}, pool_, metrics_);
   EXPECT_EQ(router(1).buffer().count(), 1u);
-  EXPECT_EQ(session.stats().transfers, 3);  // all three crossed the air
+  EXPECT_EQ(stats.transfers, 3);  // all three crossed the air
   ASSERT_EQ(router(0).sent_fail.size(), 2u);
   EXPECT_EQ(router(0).sent_fail[0], ids[1]);
   EXPECT_EQ(router(0).sent_fail[1], ids[2]);
@@ -416,15 +298,14 @@ TEST_F(ContactSessionTest, ZeroCompletionCutMovesNoData) {
   config.link.min_completion = 0.1;
   config.link.max_completion = 0.1;
   const Meeting m{0, 1, 10.0, 10_KB};  // survives 1 KB; metadata alone is 2 KB
-  ContactSession session(router(0), router(1), m, 0, config, pool_, metrics_);
-  session.open();
-  const Bytes moved = session.transfer();
-  EXPECT_EQ(moved, 0);
-  EXPECT_TRUE(session.stats().interrupted);
-  EXPECT_EQ(session.stats().transfers, 0);
-  EXPECT_EQ(session.stats().partial_transfers, 0);
+  const ContactStats stats = run_contact(router(0), router(1), m, 0, config, pool_, metrics_);
+  EXPECT_EQ(stats.data_bytes, 0);
+  EXPECT_TRUE(stats.interrupted);
+  EXPECT_EQ(stats.transfers, 0);
+  EXPECT_EQ(stats.partial_transfers, 0);
   EXPECT_EQ(router(1).buffer().count(), 0u);
-  EXPECT_EQ(session.state(), SessionState::kClosed);
+  EXPECT_EQ(router(0).end_calls, 1);
+  EXPECT_EQ(router(1).end_calls, 1);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <deque>
 
-#include "dtn/contact.h"
+#include "dtn/contact_session.h"
 #include "dtn/metrics.h"
 #include "dtn/router.h"
 
@@ -33,7 +33,7 @@ class ScriptedRouter : public Router {
                                         const PeerView& peer) override {
     while (!script.empty()) {
       const PacketId id = script.front();
-      if (!buffer().contains(id) || contact_skipped(id, peer.self()) ||
+      if (!buffer().contains(id) || contact_skipped(id) ||
           !peer_wants(peer, ctx().packet(id))) {
         script.pop_front();
         continue;

@@ -1,7 +1,7 @@
 // Flat-state overhaul tests: the dense per-packet Buffer (capacity
 // invariant, swap-erase order independence, for_each vs packet_ids
-// agreement), the epoch-stamped per-peer skip marks (O(1) reset across
-// contacts, concurrent-peer isolation), the incrementally maintained
+// agreement), the epoch-stamped skip marks (O(1) reset across contacts),
+// the incrementally maintained
 // AgeOrder, the GlobalChannel span regression, and the enforced >= 2x
 // speedup of the flat tables over the legacy hash-map shims they replaced
 // (tests/support/legacy_map_shim.h, kept for exactly this PR).
@@ -116,46 +116,21 @@ TEST_F(EpochSkipTest, MarksResetAcrossContactsWithoutClearing) {
   const PeerView peer_b(router(1));
 
   a.contact_begin(peer_b, 10.0, 0);
-  EXPECT_FALSE(a.contact_skipped(0, 1));
+  EXPECT_FALSE(a.contact_skipped(0));
   a.on_transfer_failed(pool_.get(0), peer_b, 10.0);
-  EXPECT_TRUE(a.contact_skipped(0, 1));
+  EXPECT_TRUE(a.contact_skipped(0));
   a.contact_end(peer_b, 11.0);
   // The mark is stale immediately after the contact: no container was
-  // cleared, the peer's epoch moved.
-  EXPECT_FALSE(a.contact_skipped(0, 1));
+  // cleared, the router's epoch moved.
+  EXPECT_FALSE(a.contact_skipped(0));
 
   // A fresh contact with the same peer starts clean.
   a.contact_begin(peer_b, 20.0, 0);
-  EXPECT_FALSE(a.contact_skipped(0, 1));
+  EXPECT_FALSE(a.contact_skipped(0));
   a.on_transfer_failed(pool_.get(1), peer_b, 20.0);
-  EXPECT_TRUE(a.contact_skipped(1, 1));
-  EXPECT_FALSE(a.contact_skipped(0, 1));  // old mark did not resurrect
+  EXPECT_TRUE(a.contact_skipped(1));
+  EXPECT_FALSE(a.contact_skipped(0));  // old mark did not resurrect
   a.contact_end(peer_b, 21.0);
-}
-
-TEST_F(EpochSkipTest, ConcurrentPeersKeepIndependentMarks) {
-  SkipProbeRouter& a = router(0);
-  const PeerView peer_b(router(1));
-  const PeerView peer_c(router(2));
-
-  // Two sessions open on node 0 at once; the same packet gets rejected by
-  // both peers. Neither peer's mark may clobber the other's.
-  a.contact_begin(peer_b, 30.0, 0);
-  a.contact_begin(peer_c, 30.0, 0);
-  a.on_transfer_failed(pool_.get(0), peer_b, 30.0);
-  a.on_transfer_failed(pool_.get(0), peer_c, 30.0);
-  a.on_transfer_failed(pool_.get(1), peer_c, 30.0);
-  EXPECT_TRUE(a.contact_skipped(0, 1));
-  EXPECT_TRUE(a.contact_skipped(0, 2));
-  EXPECT_FALSE(a.contact_skipped(1, 1));
-  EXPECT_TRUE(a.contact_skipped(1, 2));
-
-  // Closing the session with B clears only B's marks.
-  a.contact_end(peer_b, 31.0);
-  EXPECT_FALSE(a.contact_skipped(0, 1));
-  EXPECT_TRUE(a.contact_skipped(0, 2));
-  a.contact_end(peer_c, 31.0);
-  EXPECT_FALSE(a.contact_skipped(0, 2));
 }
 
 // --- AgeOrder -----------------------------------------------------------------

@@ -13,7 +13,7 @@
 
 #include <set>
 
-#include "dtn/contact.h"
+#include "dtn/contact_session.h"
 #include "dtn/metrics.h"
 #include "opt/time_expanded.h"
 #include "sim/engine.h"

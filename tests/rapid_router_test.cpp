@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rapid_router.h"
-#include "dtn/contact.h"
+#include "dtn/contact_session.h"
 #include "dtn/metrics.h"
 
 namespace rapid {

@@ -1,7 +1,7 @@
 // The offline Optimal (Appendix D): routing choices the ILP must get right.
 #include <gtest/gtest.h>
 
-#include "dtn/contact.h"
+#include "dtn/contact_session.h"
 #include "opt/optimal_router.h"
 #include "opt/time_expanded.h"
 #include "sim/engine.h"
