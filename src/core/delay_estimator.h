@@ -6,8 +6,8 @@
 // meetings with Z to be delivered directly, where B_j is j's expected
 // transfer-opportunity size. (The paper literally writes ceil(b_j(i)/B_j),
 // which is zero for the head-of-queue packet; delivering i itself still
-// takes one meeting, hence the max/+s_i correction — see DESIGN.md. The
-// literal form is kept for comparison.)
+// takes one meeting, hence the max/+s_i correction. The literal form is kept
+// for comparison.)
 //
 // The time for n meetings is Erlang(n, lambda); RAPID approximates it by an
 // exponential with the same mean n/lambda so the minimum across replicas is

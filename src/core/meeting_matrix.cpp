@@ -1,6 +1,7 @@
 #include "core/meeting_matrix.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "util/binio.h"
@@ -108,20 +109,22 @@ namespace {
 // thread serves every matrix on that thread (the relaxation never nests),
 // so a 2000-node fleet carries one set of buffers per sweep thread instead
 // of per node; it is thread-local because --threads runs simulations
-// concurrently. `mark`/`best` are epoch-stamped: bumping `epoch` resets
-// them in O(1) between rounds.
+// concurrently. Every buffer is sized once per fleet size, so a warm
+// recompute allocates nothing. A frontier never holds more than n rows; the
+// frontier buffers keep one spare slot for the branch-free append, which
+// writes a column before deciding whether to keep it.
 struct RelaxScratch {
   std::vector<NodeId> frontier;       // rows whose dist improved last round
   std::vector<NodeId> next_frontier;  // rows improving this round, discovery order
-  std::vector<Time> best;             // best candidate this round, keyed by mark
-  std::vector<std::uint32_t> mark;    // mark[v] == epoch → best[v] is live
-  std::uint32_t epoch = 0;
+  std::vector<Time> heads;            // dist of each frontier row, frozen at round start
+  std::vector<std::uint8_t> flag;     // 1 = column already in next_frontier; 0 between rounds
 
   void ensure(std::size_t n) {
-    if (mark.size() < n) {
-      mark.assign(n, 0);
-      best.resize(n);
-      epoch = 0;
+    if (flag.size() < n) {
+      frontier.resize(n + 1);
+      next_frontier.resize(n + 1);
+      heads.resize(n);
+      flag.assign(n, 0);
     }
   }
 };
@@ -151,12 +154,20 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   //
   // Frontier form of the classic Jacobi sweep: a round scans only the rows
   // whose distance improved in the previous round (any candidate through an
-  // unchanged row was already ≥ dist when it was last scanned, so the min is
-  // unaffected), collects improvements against the frozen pre-round dist
-  // into an epoch-marked flat buffer, and applies them after the scan. Path
-  // sums associate left to right exactly as in the full sweep and min is
-  // order-independent, so the resulting doubles are bit-identical — only the
-  // memory traffic changes (no per-round n-cell copy, no n-row scan).
+  // unchanged row was already >= dist when it was last scanned, so the min
+  // is unaffected). The heads of those rows are frozen at round start, and
+  // every candidate head + value is folded straight into dist with an
+  // in-place min. That gives min(pre-round dist[v], every candidate for v),
+  // the Jacobi value: path sums associate left to right exactly as in the
+  // full sweep, min is order-independent, and every entry is a positive
+  // time (no NaN, no -0), so the doubles are bit-identical. Reading heads
+  // from the live dist instead would let a head lowered earlier in the same
+  // round extend a path one row past the budget.
+  //
+  // The per-edge loop has no data-dependent branch: the min is a select, and
+  // the next frontier is collected with a flagged append (a column joins the
+  // first time a candidate beats its value, the same members in the same
+  // order as a compare-and-push). The final round collects no frontier.
   const auto n = static_cast<std::size_t>(num_nodes_);
   std::vector<Time>& dist = cached.dist;
   dist.assign(n, kTimeInfinity);
@@ -168,62 +179,78 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
 
   RelaxScratch& scratch = relax_scratch();
   scratch.ensure(n);
-  scratch.frontier.clear();
-  scratch.frontier.push_back(from);
+  NodeId* frontier = scratch.frontier.data();
+  NodeId* next_frontier = scratch.next_frontier.data();
+  Time* const heads = scratch.heads.data();
+  std::uint8_t* const flag = scratch.flag.data();
+  Time* const d = dist.data();
+  std::size_t fn = 0;
+  frontier[fn++] = from;
   if (own != nullptr) {
     for (const auto& [v, val] : own->finite)
-      if (v != from) scratch.frontier.push_back(v);
+      if (v != from) frontier[fn++] = v;
   }
 
-  for (int round = 1; round < max_hops_ && !scratch.frontier.empty(); ++round) {
-    ++scratch.epoch;
-    if (scratch.epoch == 0) {  // wrapped: stale marks could alias, reset
-      std::fill(scratch.mark.begin(), scratch.mark.end(), 0);
-      scratch.epoch = 1;
-    }
-    scratch.next_frontier.clear();
-    const NodeId* fr = scratch.frontier.data();
-    const std::size_t fn = scratch.frontier.size();
+  for (int round = 1; round < max_hops_ && fn > 0; ++round) {
+    for (std::size_t f = 0; f < fn; ++f) heads[f] = d[static_cast<std::size_t>(frontier[f])];
+    const bool last = round == max_hops_ - 1;
+    std::size_t count = 0;
     // RowVersions are scattered heap objects shared across the fleet, so a
-    // cold row costs a dependent-load chain (slot → object → pair data).
-    // The frontier is known ahead of time: prefetch the object a few rows
-    // out and its pair data one row out to overlap those chains.
-    constexpr std::size_t kObjAhead = 4;
+    // cold row costs a dependent-load chain (slot -> object -> pair data).
+    // The frontier is known ahead of time, so the chain is pipelined:
+    // prefetch the rows_ slot far out, the object it points to closer in,
+    // and every cache line of the pair data a few rows out.
+    constexpr std::size_t kSlotAhead = 16;
+    constexpr std::size_t kObjAhead = 8;
+    constexpr std::size_t kDataAhead = 3;
     for (std::size_t f = 0; f < fn; ++f) {
+      if (f + kSlotAhead < fn)
+        __builtin_prefetch(&rows_[static_cast<std::size_t>(frontier[f + kSlotAhead])]);
       if (f + kObjAhead < fn)
-        __builtin_prefetch(rows_[static_cast<std::size_t>(fr[f + kObjAhead])].get());
-      if (f + 1 < fn) {
+        __builtin_prefetch(rows_[static_cast<std::size_t>(frontier[f + kObjAhead])].get());
+      if (f + kDataAhead < fn) {
         if (const RowVersion* ahead =
-                rows_[static_cast<std::size_t>(fr[f + 1])].get())
-          __builtin_prefetch(ahead->finite.data());
+                rows_[static_cast<std::size_t>(frontier[f + kDataAhead])].get()) {
+          constexpr std::uintptr_t kLine = 64;
+          const auto begin = reinterpret_cast<std::uintptr_t>(ahead->finite.data());
+          const auto end =
+              reinterpret_cast<std::uintptr_t>(ahead->finite.data() + ahead->finite.size());
+          for (std::uintptr_t line = begin & ~(kLine - 1); line < end; line += kLine)
+            __builtin_prefetch(reinterpret_cast<const void*>(line));
+        }
       }
-      const NodeId mid = fr[f];
-      const Time head = dist[static_cast<std::size_t>(mid)];
+      const Time head = heads[f];
       if (head == kTimeInfinity) continue;
-      const RowVersion* mid_version = rows_[static_cast<std::size_t>(mid)].get();
+      const RowVersion* mid_version = rows_[static_cast<std::size_t>(frontier[f])].get();
       if (mid_version == nullptr) continue;
       // Stream the packed (col, value) pairs — rows are sparse in large
       // fleets. One probe addition per scanned row, not per edge.
       const auto* pairs = mid_version->finite.data();
       const std::size_t k = mid_version->finite.size();
       stats_.hop_edges += k;
-      for (std::size_t i = 0; i < k; ++i) {
-        const Time candidate = head + pairs[i].second;
-        const auto vi = static_cast<std::size_t>(pairs[i].first);
-        if (candidate < dist[vi]) {
-          if (scratch.mark[vi] != scratch.epoch) {
-            scratch.mark[vi] = scratch.epoch;
-            scratch.best[vi] = candidate;
-            scratch.next_frontier.push_back(pairs[i].first);
-          } else if (candidate < scratch.best[vi]) {
-            scratch.best[vi] = candidate;
-          }
+      if (last) {
+        for (std::size_t i = 0; i < k; ++i) {
+          const Time candidate = head + pairs[i].second;
+          Time& slot = d[static_cast<std::size_t>(pairs[i].first)];
+          slot = candidate < slot ? candidate : slot;
+        }
+      } else {
+        for (std::size_t i = 0; i < k; ++i) {
+          const NodeId v = pairs[i].first;
+          const auto vi = static_cast<std::size_t>(v);
+          const Time candidate = head + pairs[i].second;
+          const auto better = static_cast<std::uint8_t>(candidate < d[vi]);
+          const std::uint8_t seen = flag[vi];
+          d[vi] = candidate < d[vi] ? candidate : d[vi];
+          next_frontier[count] = v;  // kept only if counted below
+          count += better & (seen ^ 1u);
+          flag[vi] = seen | better;
         }
       }
     }
-    for (const NodeId v : scratch.next_frontier)
-      dist[static_cast<std::size_t>(v)] = scratch.best[static_cast<std::size_t>(v)];
-    scratch.frontier.swap(scratch.next_frontier);
+    for (std::size_t j = 0; j < count; ++j) flag[static_cast<std::size_t>(next_frontier[j])] = 0;
+    std::swap(frontier, next_frontier);
+    fn = count;
   }
   cached.generation = generation_;
   return dist;

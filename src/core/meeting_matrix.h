@@ -154,12 +154,14 @@ class MeetingMatrix {
 
   // A recompute is a frontier-driven relaxation over flat arrays (see
   // hop_row() in the .cpp): per round it scans only the rows whose distance
-  // improved in the previous round instead of all n rows, collects candidate
-  // improvements into a flat update list, and applies them after the scan —
-  // Jacobi semantics (same values bit for bit as the full n-scan), a fraction
-  // of the memory traffic. The scratch lives in one thread-local pool shared
-  // by every matrix on the thread, so 2000-node fleets do not carry per-node
-  // relaxation buffers.
+  // improved in the previous round instead of all n rows. Frozen heads, an
+  // in-place min and a flagged frontier: each round copies its frontier
+  // rows' distances aside first, folds every candidate into dist with a
+  // branch-free min, and collects the next frontier with a branch-free
+  // flagged append — Jacobi semantics (same values bit for bit as the full
+  // n-scan) with no data-dependent branch per edge. The scratch lives in one
+  // thread-local pool shared by every matrix on the thread, so 2000-node
+  // fleets do not carry per-node relaxation buffers.
   const std::vector<Time>& hop_row(NodeId from) const;
 };
 

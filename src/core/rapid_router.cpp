@@ -421,14 +421,14 @@ void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerVi
   }
 
   // Step 3 — replication candidates scored once per contact. Replicating a
-  // packet only changes that packet's own utility, so a single descending
-  // order is work-conserving (see DESIGN.md). Candidates whose marginal
-  // utility is zero (no known path to the destination yet, Eq. 1's
-  // infinity - infinity case) form a second tier ordered by fewest believed
-  // replicas, so spare bandwidth is still used rather than idled. The
-  // expensive inputs of each score (rate sum, peer queue position) come from
-  // the utility caches, so only packets whose inputs changed since the last
-  // evaluation are recomputed.
+  // packet only changes that packet's own utility, so no transfer reorders
+  // the others and a single descending order is work-conserving. Candidates
+  // whose marginal utility is zero (no known path to the destination yet,
+  // Eq. 1's infinity - infinity case) form a second tier ordered by fewest
+  // believed replicas, so spare bandwidth is still used rather than idled.
+  // The expensive inputs of each score (rate sum, peer queue position) come
+  // from the utility caches, so only packets whose inputs changed since the
+  // last evaluation are recomputed.
   replication_order_.reserve(buffer().count());
   std::vector<Candidate>& fallback = fallback_scratch_;
   fallback.clear();

@@ -157,10 +157,11 @@ class RapidRouter : public Router {
   // inference queries.
   mutable UtilityCache cache_;
 
-  // Per-contact cached orderings (the candidate set is stable within a
-  // contact; see DESIGN.md on work conservation). Validity is tracked by the
-  // base Router's plan-cache helpers, which invalidate at every contact
-  // boundary.
+  // Per-contact cached orderings. The candidate set is stable within a
+  // contact, and replicating a packet changes only that packet's utility, so
+  // an order built once per contact stays work-conserving. Validity is
+  // tracked by the base Router's plan-cache helpers, which invalidate at
+  // every contact boundary.
   std::vector<PacketId> direct_order_;
   std::size_t direct_cursor_ = 0;
   std::vector<Candidate> replication_order_;

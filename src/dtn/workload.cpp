@@ -1,6 +1,7 @@
 #include "dtn/workload.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace rapid {
@@ -39,8 +40,10 @@ PacketPool generate_workload(const WorkloadConfig& config,
                                static_cast<std::uint64_t>(src) * 100003 +
                                    static_cast<std::uint64_t>(dst));
         // Separate stream so mixed-deadline scenarios keep the exact arrival
-        // process of their base scenario.
-        Rng urgent_stream = stream.split("urgent");
+        // process of their base scenario. Split only when some packets are
+        // urgent: a 2000-node fleet has ~4M pairs.
+        std::optional<Rng> urgent_stream;
+        if (config.urgent_fraction > 0) urgent_stream.emplace(stream.split("urgent"));
         Time t = stream.exponential_mean(mean_gap);
         while (t < config.duration) {
           Packet p;
@@ -49,7 +52,7 @@ PacketPool generate_workload(const WorkloadConfig& config,
           p.size = config.packet_size;
           p.created = t;
           Time relative = config.deadline;
-          if (config.urgent_fraction > 0 && urgent_stream.bernoulli(config.urgent_fraction))
+          if (urgent_stream && urgent_stream->bernoulli(config.urgent_fraction))
             relative = config.urgent_deadline;
           p.deadline = relative == kTimeInfinity ? kTimeInfinity : t + relative;
           packets.push_back(p);

@@ -313,7 +313,7 @@ void run_table3_deployment(const FigureDef& fig, const Options& options, SweepEx
 // point is the *ranking*: RAPID's utility-driven replication leans on
 // metadata and acks that faults erode, so protocols that replicate more
 // blindly close the gap — and past a crossover, overtake (the row where the
-// leader changes is flagged). See docs/EXPERIMENTS.md for measured numbers.
+// leader changes is flagged). See EXPERIMENTS.md for measured numbers.
 void run_fault_sweep(const FigureDef& fig, const Options& options,
                      SweepExecutor& executor) {
   print_figure_banner(fig);

@@ -134,7 +134,7 @@ void register_builtins(ScenarioRegistry& registry) {
   // Fault-injection scenarios (src/fault): the trace scenario under node
   // crash/recover processes and lossy links. Crashed buses miss their
   // contacts and lose their buffers; corrupted copies burn bandwidth without
-  // delivering. See docs/EXPERIMENTS.md for the measured ranking shifts.
+  // delivering. See EXPERIMENTS.md for the measured ranking shifts.
   registry.add({"trace-faulty",
                 "Trace scenario with node crashes (mean 1.5 h up / 0.4 h down, "
                 "buffers lost) and 10% per-copy link corruption",

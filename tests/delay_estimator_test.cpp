@@ -9,7 +9,7 @@ namespace {
 
 TEST(MeetingsNeeded, HeadOfQueueNeedsOneMeeting) {
   // The corrected form: even with nothing ahead, delivering the packet
-  // itself takes one meeting (see DESIGN.md).
+  // itself takes one meeting.
   EXPECT_EQ(meetings_needed(0, 1_KB, 100_KB), 1u);
   // The literal paper form returns zero here — kept for the ablation.
   EXPECT_EQ(meetings_needed_literal(0, 100_KB), 0u);

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/meeting_matrix.h"
 #include "core/metadata.h"
@@ -163,18 +164,78 @@ TEST_P(HopEstimateFuzz, MatchesBruteForceWithinHopBudget) {
     return best;
   };
 
-  for (NodeId to = 1; to < n; ++to) {
-    const Time expected = brute(0, to);
-    const Time got = matrix.expected_meeting_time(0, to);
-    if (expected == kTimeInfinity) {
-      EXPECT_EQ(got, kTimeInfinity) << "to " << to;
-    } else {
-      EXPECT_NEAR(got, expected, 1e-9) << "to " << to;
-    }
-  }
+  // Both sides add a path's legs left to right, so the doubles match exactly.
+  for (NodeId to = 1; to < n; ++to)
+    EXPECT_EQ(matrix.expected_meeting_time(0, to), brute(0, to)) << "to " << to;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HopEstimateFuzz, ::testing::Range(1, 13));
+
+// --- MeetingMatrix at every hop budget, every source, sparse rows -------------
+
+// A 64-node fleet with ~6 finite entries per row (the sparse shape of large
+// fleets), queried from every source. The hop budget cycles through 1-4 with
+// the parameter, covering the estimate with no relaxation round (h = 1), a
+// final round alone (h = 2) and rounds that collect a next frontier
+// (h >= 3). Estimates must equal the brute-force Jacobi sweep bit for bit.
+class HopDepthFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(HopDepthFuzz, MatchesBruteForceAtEveryDepth) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 11);
+  const int n = 64;
+  const int hops = 1 + GetParam() % 4;
+  const double density = 6.0 / (n - 1);
+  MeetingMatrix matrix(0, n, hops);
+
+  std::vector<std::vector<Time>> w(static_cast<std::size_t>(n),
+                                   std::vector<Time>(static_cast<std::size_t>(n), kTimeInfinity));
+  for (NodeId u = 1; u < n; ++u) {
+    std::vector<Time>& row = w[static_cast<std::size_t>(u)];
+    for (NodeId v = 0; v < n; ++v) {
+      if (u != v && rng.bernoulli(density)) row[static_cast<std::size_t>(v)] = rng.uniform(1, 500);
+    }
+    matrix.merge_row(u, row, 1.0);
+  }
+  for (NodeId v = 1; v < n; ++v) {
+    if (!rng.bernoulli(density)) continue;
+    const Time gap = rng.uniform(1, 500);
+    matrix.observe_meeting(v, gap);  // single observation: mean == first gap
+    w[0][static_cast<std::size_t>(v)] = gap;
+  }
+
+  // Brute force: `hops` full Jacobi sweeps over the dense weights. Each
+  // sweep keeps the shorter paths, so the result is the min over every path
+  // of at most `hops` legs.
+  const auto brute = [&](NodeId from) {
+    std::vector<Time> dist(static_cast<std::size_t>(n), kTimeInfinity);
+    dist[static_cast<std::size_t>(from)] = 0;
+    for (int step = 0; step < hops; ++step) {
+      std::vector<Time> next = dist;
+      for (std::size_t u = 0; u < dist.size(); ++u) {
+        if (dist[u] == kTimeInfinity) continue;
+        for (std::size_t v = 0; v < dist.size(); ++v) {
+          if (w[u][v] != kTimeInfinity) next[v] = std::min(next[v], dist[u] + w[u][v]);
+        }
+      }
+      dist = next;
+    }
+    return dist;
+  };
+
+  int finite = 0;
+  for (NodeId from = 0; from < n; ++from) {
+    const std::vector<Time> expected = brute(from);
+    for (NodeId to = 0; to < n; ++to) {
+      const Time want = expected[static_cast<std::size_t>(to)];
+      EXPECT_EQ(matrix.expected_meeting_time(from, to), want)
+          << "h " << hops << " from " << from << " to " << to;
+      finite += want != kTimeInfinity ? 1 : 0;
+    }
+  }
+  EXPECT_GT(finite, 2 * n);  // not a trivially disconnected fleet
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HopDepthFuzz, ::testing::Range(0, 16));
 
 // --- Sparse MeetingMatrix rows vs a dense reference ---------------------------
 

@@ -12,6 +12,10 @@
 #   3. Every tests/golden/*, tests/data/* or repo-root BENCH_*.json path
 #      named in tests/*.cpp, CMakeLists.txt or .github/workflows/ci.yml must
 #      be tracked by git, so tier-1 and CI pass from a clean clone.
+#   4. Every *.md file named in a // comment under src/ or tests/ must
+#      exist, resolved from the repo root or from the commenting file's
+#      directory, so a comment never defers its reasoning to a missing
+#      document.
 #
 # Exits non-zero listing every violation. No dependencies beyond bash +
 # coreutils + grep/sed.
@@ -84,8 +88,22 @@ if command -v git > /dev/null 2>&1 && git rev-parse --is-inside-work-tree > /dev
   done
 fi
 
+# --- 4. markdown files named in source comments exist -------------------------
+
+# grep -o keeps each matching line from its first // on, i.e. the comment.
+while IFS= read -r hit; do
+  file=${hit%%:*}
+  for name in $(grep -oE '[A-Za-z0-9_./-]+\.md\b' <<< "${hit#*:}"); do
+    case "$name" in
+      *//*) continue ;;  # part of a URL
+    esac
+    [ -e "$name" ] || [ -e "$(dirname "$file")/$name" ] ||
+      note_failure "$file: comment names '$name', which does not exist"
+  done
+done < <(grep -rHoE --include='*.h' --include='*.cpp' '//.*\.md\b' src tests)
+
 if [ "$failures" -gt 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (markdown links + header doc comments + tracked test inputs)"
+echo "check_docs: OK (markdown links + header doc comments + tracked test inputs + named docs)"
