@@ -22,6 +22,7 @@
 #include "dtn/metrics.h"
 #include "dtn/workload.h"
 #include "mobility/exponential_model.h"
+#include "obs/obs.h"
 #include "opt/simplex.h"
 #include "runner/scenario_registry.h"
 #include "sim/engine.h"
@@ -171,10 +172,7 @@ struct ReplicaRateFixture {
       p.created = static_cast<Time>(i);
       ids.push_back(pool.add(p));
     }
-    MeetingSchedule s;
-    s.num_nodes = kNodes;
-    s.duration = 1e9;
-    metrics.begin(pool, s);
+    metrics.begin(pool);
     for (const PacketId id : ids) {
       routers[0]->on_generate(pool.get(id));
       for (NodeId peer = 1; peer < kPeers; ++peer)
@@ -219,19 +217,23 @@ void BM_PowerlawLargeRapid(benchmark::State& state) {
   spec.protocol = ProtocolKind::kRapid;
   spec.rapid_incremental_cache = cached;
 
-  std::size_t delivered = 0;
+  SimResult r;
   for (auto _ : state) {
-    reset_utility_cache_global_stats();
-    const SimResult r = run_instance(scenario, inst, spec);
-    delivered = r.delivered;
-    benchmark::DoNotOptimize(delivered);
+    r = run_instance(scenario, inst, spec);
+    benchmark::DoNotOptimize(r.delivered);
   }
-  const UtilityCacheStats stats = utility_cache_global_stats();
+  // Every router's cache counters, summed into the run's registry at finish().
+  const auto counter = [&](const char* name) {
+    return static_cast<double>(r.obs->metrics.value(name));
+  };
+  const double recomputes =
+      counter("utility.delay_recomputes") + counter("utility.rate_recomputes");
   state.counters["packets"] = static_cast<double>(inst.workload.size());
   state.counters["meetings"] = static_cast<double>(inst.schedule.size());
-  state.counters["delivered"] = static_cast<double>(delivered);
-  state.counters["recomputes"] = static_cast<double>(stats.recomputes());
-  state.counters["lookups"] = static_cast<double>(stats.lookups());
+  state.counters["delivered"] = static_cast<double>(r.delivered);
+  state.counters["recomputes"] = recomputes;
+  state.counters["lookups"] =
+      recomputes + counter("utility.delay_hits") + counter("utility.rate_hits");
 }
 BENCHMARK(BM_PowerlawLargeRapid)
     ->ArgNames({"cached"})
@@ -335,10 +337,7 @@ void BM_ContactChurn(benchmark::State& state) {
         std::make_unique<RapidRouter>(n, Bytes{48_KB} /* forces eviction churn */, &ctx, config));
     oracle.set(n, routers.back().get());
   }
-  MeetingSchedule schedule;
-  schedule.num_nodes = kNodes;
-  schedule.duration = 1e9;
-  metrics.begin(pool, schedule);
+  metrics.begin(pool);
 
   std::size_t next_packet = 0;
   int meeting_index = 0;

@@ -1,6 +1,7 @@
 #include "core/utility.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
@@ -15,6 +16,17 @@ std::string to_string(RoutingMetric metric) {
     case RoutingMetric::kMaxDelay: return "max-delay";
   }
   return "?";
+}
+
+std::optional<RoutingMetric> routing_metric_from_string(std::string_view name) {
+  std::string key;
+  for (char ch : name)
+    if (std::isalnum(static_cast<unsigned char>(ch)))
+      key += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  if (key == "avgdelay") return RoutingMetric::kAvgDelay;
+  if (key == "maxdelay") return RoutingMetric::kMaxDelay;
+  if (key == "misseddeadlines" || key == "deadlines") return RoutingMetric::kMissedDeadlines;
+  return std::nullopt;
 }
 
 double capped_expected_delay(double rate, const UtilityParams& params) {

@@ -10,7 +10,9 @@
 //       order in the router, which is the paper's work-conserving rule).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/types.h"
 
@@ -28,6 +30,10 @@ enum class RoutingMetric {
 };
 
 std::string to_string(RoutingMetric metric);
+// Inverse of to_string, ignoring case and punctuation ("avg-delay",
+// "AvgDelay", "max_delay"); "deadlines" also names kMissedDeadlines.
+// nullopt for an unknown name.
+std::optional<RoutingMetric> routing_metric_from_string(std::string_view name);
 
 struct UtilityParams {
   // Expected delays are capped at this horizon so that "no known path"

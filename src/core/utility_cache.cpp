@@ -1,48 +1,15 @@
 #include "core/utility_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "util/slab.h"
 
 namespace rapid {
 
-namespace {
-
-std::atomic<std::uint64_t> g_delay_hits{0};
-std::atomic<std::uint64_t> g_delay_recomputes{0};
-std::atomic<std::uint64_t> g_rate_hits{0};
-std::atomic<std::uint64_t> g_rate_recomputes{0};
-
-}  // namespace
-
-UtilityCacheStats utility_cache_global_stats() {
-  UtilityCacheStats s;
-  s.delay_hits = g_delay_hits.load(std::memory_order_relaxed);
-  s.delay_recomputes = g_delay_recomputes.load(std::memory_order_relaxed);
-  s.rate_hits = g_rate_hits.load(std::memory_order_relaxed);
-  s.rate_recomputes = g_rate_recomputes.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_utility_cache_global_stats() {
-  g_delay_hits.store(0, std::memory_order_relaxed);
-  g_delay_recomputes.store(0, std::memory_order_relaxed);
-  g_rate_hits.store(0, std::memory_order_relaxed);
-  g_rate_recomputes.store(0, std::memory_order_relaxed);
-}
-
 UtilityCache::UtilityCache(int num_nodes) {
   if (num_nodes < 0) throw std::invalid_argument("UtilityCache: negative num_nodes");
   queue_slot_.assign(static_cast<std::size_t>(num_nodes), kEmptySlot);
-}
-
-UtilityCache::~UtilityCache() {
-  g_delay_hits.fetch_add(stats_.delay_hits, std::memory_order_relaxed);
-  g_delay_recomputes.fetch_add(stats_.delay_recomputes, std::memory_order_relaxed);
-  g_rate_hits.fetch_add(stats_.rate_hits, std::memory_order_relaxed);
-  g_rate_recomputes.fetch_add(stats_.rate_recomputes, std::memory_order_relaxed);
 }
 
 // --- flat destination queues --------------------------------------------------

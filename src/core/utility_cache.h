@@ -35,8 +35,8 @@
 // (locked in by tests/runner_test.cpp's dual-path figure tests).
 //
 // Probe counters (UtilityCacheStats) count hits and recomputations per
-// router and, aggregated, per process — the invalidation-edge tests and the
-// bench_micro cache benchmarks read them.
+// router; RapidRouter::flush_obs sums them into the run's metrics registry
+// (utility.* counters), where whole-run tests and benches read them.
 #pragma once
 
 #include <cstdint>
@@ -62,12 +62,6 @@ struct UtilityCacheStats {
     return delay_hits + delay_recomputes + rate_hits + rate_recomputes;
   }
 };
-
-// Process-wide aggregate of every UtilityCache destroyed so far (each cache
-// flushes its counters on destruction). Lets benches measure whole-simulation
-// recomputation counts after the routers are gone.
-UtilityCacheStats utility_cache_global_stats();
-void reset_utility_cache_global_stats();
 
 // The memo itself. Contract: direct_delay()/rate() return exactly what their
 // compute() callback would return for the given inputs — a hit is only ever
@@ -122,8 +116,6 @@ class UtilityCache {
   };
 
   explicit UtilityCache(int num_nodes);
-  ~UtilityCache();  // flushes stats into the process-wide aggregate
-
   UtilityCache(const UtilityCache&) = delete;
   UtilityCache& operator=(const UtilityCache&) = delete;
 

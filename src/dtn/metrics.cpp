@@ -17,23 +17,6 @@ bool SimResult::is_delivered(PacketId id) const {
   return delivery_time.at(static_cast<std::size_t>(id)) != kTimeInfinity;
 }
 
-void MetricsCollector::begin(const PacketPool& pool, const MeetingSchedule& schedule) {
-  begin(pool);
-  capacity_bytes_ = schedule.total_capacity();
-  meetings_ = schedule.size();
-}
-
-void MetricsCollector::begin(const PacketPool& pool, const MeetingSchedule& schedule,
-                             Time horizon) {
-  begin(pool);
-  // The schedule is sorted, so the in-horizon prefix is contiguous.
-  for (const Meeting& m : schedule.meetings()) {
-    if (m.time > horizon) break;
-    capacity_bytes_ += m.capacity;
-    ++meetings_;
-  }
-}
-
 void MetricsCollector::begin(const PacketPool& pool) {
   delivery_time_.assign(pool.size(), kTimeInfinity);
   data_bytes_ = 0;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dtn/packet.h"
-#include "dtn/schedule.h"
 #include "util/types.h"
 
 namespace rapid {
@@ -73,18 +72,11 @@ struct SimResult {
 
 class MetricsCollector {
  public:
-  // Materialized-schedule runs: capacity/meeting totals are known up front.
-  void begin(const PacketPool& pool, const MeetingSchedule& schedule);
-  // Materialized runs driven to a horizon: meetings past `horizon` are never
-  // dispatched (Simulation::step skips them), so they must not be pre-counted
-  // either — with the clamp, a materialized run and a streaming run of the
-  // same contacts accrue identical capacity/meeting totals whatever the
-  // schedule's tail looks like.
-  void begin(const PacketPool& pool, const MeetingSchedule& schedule, Time horizon);
-  // Streaming runs: totals accrue via record_meeting() as contacts arrive.
+  // Resets every total and sizes the delivery table to the pool. Capacity
+  // and meeting totals then accrue via record_meeting() as contacts arrive.
   void begin(const PacketPool& pool);
 
-  // One streamed transfer opportunity (capacity accrues as contacts arrive).
+  // One transfer opportunity, counted when it happens.
   void record_meeting(Bytes capacity) {
     capacity_bytes_ += capacity;
     ++meetings_;

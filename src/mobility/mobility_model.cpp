@@ -56,49 +56,6 @@ std::unique_ptr<MobilityModel> make_replay_model(const MeetingSchedule& schedule
 }
 
 // ---------------------------------------------------------------------------
-// MergedMobilityModel
-// ---------------------------------------------------------------------------
-
-MergedMobilityModel::MergedMobilityModel(
-    std::vector<std::unique_ptr<MobilityModel>> children)
-    : children_(std::move(children)) {
-  if (children_.empty())
-    throw std::invalid_argument("MergedMobilityModel: no children");
-  for (const auto& child : children_) {
-    if (child == nullptr)
-      throw std::invalid_argument("MergedMobilityModel: null child");
-    num_nodes_ = std::max(num_nodes_, child->num_nodes());
-    duration_ = std::max(duration_, child->duration());
-  }
-}
-
-std::size_t MergedMobilityModel::pick() {
-  // Strict less-than keeps the earliest-registered child on equal times —
-  // the same rule Simulation applies across its event sources.
-  std::size_t best = children_.size();
-  Time best_time = 0;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    const Meeting* m = children_[i]->peek();
-    if (m == nullptr) continue;
-    if (best == children_.size() || m->time < best_time) {
-      best = i;
-      best_time = m->time;
-    }
-  }
-  return best;
-}
-
-const Meeting* MergedMobilityModel::peek() {
-  const std::size_t i = pick();
-  return i == children_.size() ? nullptr : children_[i]->peek();
-}
-
-void MergedMobilityModel::pop() {
-  const std::size_t i = pick();
-  if (i != children_.size()) children_[i]->pop();
-}
-
-// ---------------------------------------------------------------------------
 // PairStreamModel
 // ---------------------------------------------------------------------------
 

@@ -13,11 +13,10 @@
 //   * the stream is a pure function of the model's construction inputs
 //     (config + Rng), so replays and parallel sweep cells are bit-identical.
 //
-// Equal-timestamp meetings follow the canonical deterministic tie-break
-// order established by the flat-state overhaul (PR 4): a merge of several
-// streams emits ties in registration order (MergedMobilityModel), and the
-// pair-stream engine emits ties in pair-creation order, which reproduces the
-// stable_sort order of the legacy materializing generators exactly.
+// Equal-timestamp meetings follow a canonical deterministic tie-break order:
+// Simulation merges several streams with ties in registration order, and
+// the pair-stream engine emits ties in pair-creation order, which reproduces
+// the stable_sort order of the legacy materializing generators exactly.
 #pragma once
 
 #include <memory>
@@ -49,31 +48,9 @@ MeetingSchedule materialize(MobilityModel& model);
 
 // Replays an existing schedule through the model interface from a cursor —
 // the schedule is borrowed, not copied, so replay adds O(1) resident state.
-// Used for recorded-trace days (DieselNet replay).
+// Streamed DieselNet days and every Simulation(schedule, ...) run use it.
+// Throws std::invalid_argument on an unsorted schedule.
 std::unique_ptr<MobilityModel> make_replay_model(const MeetingSchedule& schedule);
-
-// K-way merge of independent contact streams: the earliest-time child is
-// emitted next; equal times break toward the earliest-registered child
-// (index order), mirroring Simulation's event-source tie-break rule.
-class MergedMobilityModel : public MobilityModel {
- public:
-  // num_nodes and duration are the max over children (children addressing a
-  // subset of the merged fleet is fine; their ids must simply be consistent
-  // with the widest child's id space).
-  explicit MergedMobilityModel(std::vector<std::unique_ptr<MobilityModel>> children);
-
-  int num_nodes() const override { return num_nodes_; }
-  Time duration() const override { return duration_; }
-  const Meeting* peek() override;
-  void pop() override;
-
- private:
-  std::size_t pick() ;  // index of the child to emit next (children_.size() = none)
-
-  std::vector<std::unique_ptr<MobilityModel>> children_;
-  int num_nodes_ = 0;
-  Time duration_ = 0;
-};
 
 // The shared lazy-Poisson engine behind the synthetic models: every pair of
 // nodes that can meet owns an exponential inter-meeting stream (optionally

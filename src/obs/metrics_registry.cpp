@@ -21,7 +21,6 @@ const char* counter_name(Counter c) {
     case Counter::kFaultPacketsLost: return "fault.packets_lost";
     case Counter::kFaultRecoveries: return "fault.recoveries";
     case Counter::kFaultTailRetries: return "fault.tail_retries";
-    case Counter::kLogMessages: return "log.messages";
     case Counter::kMatrixHopEdges: return "matrix.hop_edges";
     case Counter::kMatrixHopRecomputes: return "matrix.hop_recomputes";
     case Counter::kMatrixRowsAccepted: return "matrix.rows_accepted";

@@ -36,7 +36,6 @@ enum class Counter : std::uint16_t {
   kFaultPacketsLost,
   kFaultRecoveries,
   kFaultTailRetries,
-  kLogMessages,
   kMatrixHopEdges,
   kMatrixHopRecomputes,
   kMatrixRowsAccepted,

@@ -1,7 +1,6 @@
 #include "runner/profile_run.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -9,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/utility.h"
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 #include "runner/figures.h"
@@ -18,17 +18,6 @@
 
 namespace rapid::runner {
 namespace {
-
-std::optional<RoutingMetric> metric_from_string(const std::string& name) {
-  std::string key;
-  for (char ch : name)
-    if (std::isalnum(static_cast<unsigned char>(ch)))
-      key += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  if (key == "avgdelay") return RoutingMetric::kAvgDelay;
-  if (key == "maxdelay") return RoutingMetric::kMaxDelay;
-  if (key == "misseddeadlines" || key == "deadlines") return RoutingMetric::kMissedDeadlines;
-  return std::nullopt;
-}
 
 // "trace.json" -> "trace-run3.json" — per-run trace paths when --runs > 1.
 std::string path_for_run(const std::string& path, int run, int runs) {
@@ -75,7 +64,7 @@ int run_observed_main(const Options& options) {
     RunSpec spec;
     spec.protocol = *protocol;
     const std::string metric_name = options.get_string("metric", "avg-delay");
-    const std::optional<RoutingMetric> metric = metric_from_string(metric_name);
+    const std::optional<RoutingMetric> metric = routing_metric_from_string(metric_name);
     if (!metric) {
       std::cerr << "unknown metric '" << metric_name
                 << "'; known: avg-delay, max-delay, missed-deadlines\n";

@@ -1,7 +1,6 @@
 #include "runner/serve_run.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <fstream>
 #include <iomanip>
@@ -13,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/utility.h"
 #include "dtn/workload.h"
 #include "mobility/trace_io.h"
 #include "runner/figures.h"
@@ -22,17 +22,6 @@
 
 namespace rapid::runner {
 namespace {
-
-std::optional<RoutingMetric> metric_from_string(const std::string& name) {
-  std::string key;
-  for (char ch : name)
-    if (std::isalnum(static_cast<unsigned char>(ch)))
-      key += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  if (key == "avgdelay") return RoutingMetric::kAvgDelay;
-  if (key == "maxdelay") return RoutingMetric::kMaxDelay;
-  if (key == "misseddeadlines" || key == "deadlines") return RoutingMetric::kMissedDeadlines;
-  return std::nullopt;
-}
 
 struct Query {
   enum class Kind { kDelay, kUtility, kReplicas, kStats };
@@ -189,7 +178,7 @@ int run_serve_main(const Options& options) {
       return 1;
     }
     const std::string metric_name = options.get_string("metric", "avg-delay");
-    const std::optional<RoutingMetric> metric = metric_from_string(metric_name);
+    const std::optional<RoutingMetric> metric = routing_metric_from_string(metric_name);
     if (!metric) {
       std::cerr << "unknown metric '" << metric_name << "'\n";
       return 1;

@@ -96,12 +96,14 @@ ScenarioConfig make_vehicular_grid_scenario();  // grid/map vehicular model
 ScenarioConfig make_working_day_scenario();     // home/work community model
 
 struct Instance {
-  // Materialized path (empty when the scenario streams its mobility).
+  // Materialized shape (empty when the scenario streams its mobility). The
+  // engine replays it through the same mobility source a streamed model
+  // uses; the schedule is kept for the readers that need the whole day.
   MeetingSchedule schedule;
-  // Streaming path: builds the run's contact stream on demand. Borrows the
+  // Streamed shape: builds the run's contact stream on demand. Borrows the
   // Scenario it came from — keep the Scenario alive while running.
   std::function<std::unique_ptr<MobilityModel>()> make_model;
-  // Experiment bounds, valid on both paths.
+  // Experiment bounds, valid for both shapes.
   int num_nodes = 0;
   Time duration = 0;
 

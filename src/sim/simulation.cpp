@@ -30,27 +30,6 @@ class WorkloadSource : public EventSource {
   SimEvent event_;
 };
 
-class ScheduleSource : public EventSource {
- public:
-  explicit ScheduleSource(const MeetingSchedule& schedule) : schedule_(&schedule) {}
-
-  const SimEvent* peek() override {
-    if (next_ >= schedule_->size()) return nullptr;
-    const Meeting& m = schedule_->meetings()[next_];
-    event_.kind = SimEvent::Kind::kMeeting;
-    event_.time = m.time;
-    event_.meeting = m;
-    return &event_;
-  }
-
-  void pop() override { ++next_; }
-
- private:
-  const MeetingSchedule* schedule_;
-  std::size_t next_ = 0;
-  SimEvent event_;
-};
-
 // Pulls contacts from a MobilityModel one at a time; enforces the model's
 // non-decreasing-time contract so a misbehaving model fails loudly instead
 // of corrupting the deterministic merge.
@@ -96,10 +75,6 @@ std::unique_ptr<EventSource> make_workload_source(const PacketPool& workload) {
   return std::make_unique<WorkloadSource>(workload);
 }
 
-std::unique_ptr<EventSource> make_schedule_source(const MeetingSchedule& schedule) {
-  return std::make_unique<ScheduleSource>(schedule);
-}
-
 std::unique_ptr<EventSource> make_mobility_source(MobilityModel& model) {
   return std::make_unique<MobilityEventSource>(model);
 }
@@ -110,34 +85,24 @@ std::unique_ptr<EventSource> make_mobility_source(std::unique_ptr<MobilityModel>
 
 Simulation::Simulation(const MeetingSchedule& schedule, const PacketPool& workload,
                        const RouterFactory& factory, const SimConfig& config)
-    : Simulation(&schedule, SimBounds{schedule.num_nodes, schedule.duration}, workload,
-                 factory, config) {}
+    : Simulation(make_replay_model(schedule), SimBounds{schedule.num_nodes, schedule.duration},
+                 workload, factory, config) {}
 
 Simulation::Simulation(SimBounds bounds, const PacketPool& workload,
                        const RouterFactory& factory, const SimConfig& config)
     : Simulation(nullptr, bounds, workload, factory, config) {}
 
-Simulation::Simulation(const MeetingSchedule* schedule, SimBounds bounds,
+Simulation::Simulation(std::unique_ptr<MobilityModel> meetings, SimBounds bounds,
                        const PacketPool& workload, const RouterFactory& factory,
                        const SimConfig& config)
-    : schedule_(schedule),
-      workload_(workload),
+    : workload_(workload),
       config_(config),
       num_nodes_(bounds.num_nodes),
       duration_(bounds.duration),
       obs_(config.obs) {
-  if (schedule_ != nullptr && !schedule_->is_sorted())
-    throw std::invalid_argument("Simulation: schedule must be sorted");
   if (num_nodes_ < 1) throw std::invalid_argument("Simulation: need >= 1 node");
 
-  // Materialized runs know their totals up front (clamped to the horizon,
-  // since step() never dispatches past-duration meetings); streaming runs
-  // accrue them per dispatched meeting. The two paths agree for any schedule,
-  // tail included.
-  if (schedule_ != nullptr)
-    metrics_.begin(workload, *schedule_, duration_);
-  else
-    metrics_.begin(workload);
+  metrics_.begin(workload);
   ctx_.pool = &workload_;
   ctx_.metrics = &metrics_;
   ctx_.num_nodes = num_nodes_;
@@ -153,10 +118,7 @@ Simulation::Simulation(const MeetingSchedule* schedule, SimBounds bounds,
 
   // Registration order is the tie-break order: packets before meetings.
   sources_.push_back(make_workload_source(workload_));
-  if (schedule_ != nullptr) {
-    sources_.push_back(make_schedule_source(*schedule_));
-    schedule_source_ = sources_.size() - 1;
-  }
+  if (meetings != nullptr) sources_.push_back(make_mobility_source(std::move(meetings)));
   // The fault source registers after the built-ins and before any
   // caller-added feed, on both the fresh and the restoring side, so the
   // source layout (and with it the tie-break order) is a pure function of
@@ -177,10 +139,10 @@ void Simulation::add_event_source(std::unique_ptr<EventSource> source) {
 void Simulation::add_tap(MetricTap tap) { taps_.push_back(std::move(tap)); }
 
 // The event merge: a linear scan over every source's head. A run has at most
-// four sources (workload, schedule or mobility, faults, service ingest), and
-// finding the next event is well under 1% of a run's wall time, so no
-// priority structure pays for itself — and nothing is indexed that could go
-// stale when a drained source refills (service ingest).
+// four sources (workload, mobility, faults, service ingest), and finding the
+// next event is well under 1% of a run's wall time, so no priority structure
+// pays for itself — and nothing is indexed that could go stale when a
+// drained source refills (service ingest).
 std::optional<Simulation::Next> Simulation::peek_next() {
   std::optional<Next> best;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -195,7 +157,7 @@ std::optional<Simulation::Next> Simulation::peek_next() {
   return best;
 }
 
-bool Simulation::admit_event(const SimEvent& event, std::size_t source) {
+bool Simulation::admit_event(const SimEvent& event) {
   if (node_up_.empty()) return true;  // node faults disabled
   switch (event.kind) {
     case SimEvent::Kind::kFault:
@@ -211,10 +173,9 @@ bool Simulation::admit_event(const SimEvent& event, std::size_t source) {
     case SimEvent::Kind::kMeeting: {
       const Meeting& m = event.meeting;
       if (node_up(m.a) && node_up(m.b)) return true;
-      // The opportunity existed; a dead endpoint just missed it. Counting
-      // it keeps streamed totals consistent with pre-counted materialized
-      // ones (which cannot know which meetings a crash will suppress).
-      if (source != schedule_source_) metrics_.record_meeting(m.capacity);
+      // The opportunity existed; a dead endpoint just missed it, so it still
+      // counts toward the capacity and meeting totals.
+      metrics_.record_meeting(m.capacity);
       metrics_.record_suppressed_meeting();
       RAPID_OBS_INC(kFaultMeetingsSuppressed);
       return false;
@@ -241,7 +202,7 @@ void Simulation::apply_fault_effects(const FaultEvent& fault) {
       config_.node_faults.drop_buffers, fault.time);
 }
 
-void Simulation::dispatch(const SimEvent& event, std::size_t source) {
+void Simulation::dispatch(const SimEvent& event) {
   now_ = event.time;
   if (event.kind == SimEvent::Kind::kPacket) {
     RAPID_OBS_INC(kSimEventsPacket);
@@ -255,11 +216,7 @@ void Simulation::dispatch(const SimEvent& event, std::size_t source) {
   } else {
     RAPID_OBS_INC(kSimEventsMeeting);
     const Meeting& m = event.meeting;
-    // Capacity/meeting totals accrue per dispatched meeting for every source
-    // except the built-in schedule, whose totals were pre-counted by
-    // metrics_.begin() — streamed and injected opportunities are counted the
-    // moment they happen.
-    if (source != schedule_source_) metrics_.record_meeting(m.capacity);
+    metrics_.record_meeting(m.capacity);
     run_contact(*routers_[static_cast<std::size_t>(m.a)],
                 *routers_[static_cast<std::size_t>(m.b)], m, meeting_index_++,
                 config_.contact, workload_, metrics_);
@@ -279,8 +236,8 @@ bool Simulation::step_until(Time limit) {
       RAPID_OBS_INC(kSimEventsSkipped);
       continue;
     }
-    if (!admit_event(event, next->source)) continue;
-    dispatch(event, next->source);
+    if (!admit_event(event)) continue;
+    dispatch(event);
     return true;
   }
 }

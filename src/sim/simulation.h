@@ -2,20 +2,19 @@
 //
 // A Simulation replaces the old one-shot run_simulation() loop with an
 // explicit object: an event queue merged from pluggable EventSources
-// (packet-generation and meeting sources are built in; streaming feeds can
-// be added), advanced with step() / run_until(t), observed mid-run through
-// metric taps, and finished into the SimResult the figures are built from.
-// The legacy run_simulation() in sim/engine.h is a thin wrapper: construct,
-// run(), finish().
+// (packet generation and a schedule's meetings are built in; streaming
+// feeds can be added), advanced with step() / run_until(t), observed
+// mid-run through metric taps, and finished into the SimResult the figures
+// are built from. The legacy run_simulation() in sim/engine.h is a thin
+// wrapper: construct, run(), finish().
 //
-// Meetings reach the engine one of two ways:
-//   * materialized — a sorted MeetingSchedule, cursor-walked by the built-in
-//     schedule source (capacity totals are known up front);
-//   * streaming — a MobilityModel (mobility/mobility_model.h) pulled one
-//     contact at a time through a MobilityEventSource, so peak memory never
-//     scales with the total contact count. Capacity/meeting totals accrue
-//     per dispatched meeting; for full runs of generator-produced mobility
-//     the two paths produce bit-identical SimResults (dual-path tested).
+// Meetings reach the engine one way: a MobilityModel, pulled one contact at
+// a time through a MobilityEventSource (mobility/mobility_model.h). A
+// recorded MeetingSchedule is replayed through the same source
+// (make_replay_model), so capacity and meeting totals always accrue per
+// dispatched meeting and a mid-run report counts only the meetings that
+// have happened. Streaming a generator keeps peak memory independent of
+// the total contact count.
 //
 // Determinism contract: an event is taken from the earliest-time source,
 // ties broken by registration order. The built-in workload source registers
@@ -76,7 +75,6 @@ class EventSource {
 
 // Built-in sources, exposed so tests and custom drivers can compose them.
 std::unique_ptr<EventSource> make_workload_source(const PacketPool& workload);
-std::unique_ptr<EventSource> make_schedule_source(const MeetingSchedule& schedule);
 // Adapts a streaming MobilityModel into a kMeeting event source. The
 // borrowing overload leaves ownership with the caller (who must keep the
 // model alive for the run); the owning overload carries it.
@@ -84,7 +82,7 @@ std::unique_ptr<EventSource> make_mobility_source(MobilityModel& model);
 std::unique_ptr<EventSource> make_mobility_source(std::unique_ptr<MobilityModel> model);
 
 // The experiment horizon and fleet size a Simulation needs when there is no
-// materialized schedule to read them from.
+// schedule to read them from.
 struct SimBounds {
   int num_nodes = 0;
   Time duration = 0;
@@ -96,14 +94,14 @@ class Simulation {
   // deliveries/bytes without waiting for finish().
   using MetricTap = std::function<void(const SimEvent&, const MetricsCollector&)>;
 
-  // Materialized path: the schedule is the built-in meeting source.
+  // Replays a sorted schedule (borrowed; it must outlive the run) through
+  // the built-in meeting source; throws std::invalid_argument if unsorted.
   Simulation(const MeetingSchedule& schedule, const PacketPool& workload,
              const RouterFactory& factory, const SimConfig& config);
 
-  // Streaming path: no schedule exists; meetings arrive through the mobility
-  // source (add one with add_event_source(make_mobility_source(...)) — the
-  // run_simulation overload in sim/engine.h does this for you). Capacity and
-  // meeting-count metrics accrue per dispatched meeting.
+  // No built-in meeting source: add one with
+  // add_event_source(make_mobility_source(...)) — the run_simulation
+  // overload in sim/engine.h does this for you.
   Simulation(SimBounds bounds, const PacketPool& workload, const RouterFactory& factory,
              const SimConfig& config);
 
@@ -172,8 +170,11 @@ class Simulation {
   void fast_forward_sources(Time cutoff);
 
  private:
-  Simulation(const MeetingSchedule* schedule, SimBounds bounds, const PacketPool& workload,
-             const RouterFactory& factory, const SimConfig& config);
+  // `meetings` (null for a bounds-only run) registers right after the
+  // workload source and before the fault source.
+  Simulation(std::unique_ptr<MobilityModel> meetings, SimBounds bounds,
+             const PacketPool& workload, const RouterFactory& factory,
+             const SimConfig& config);
 
   // (source index, event) of the next event to dispatch, or nullopt.
   struct Next {
@@ -181,7 +182,7 @@ class Simulation {
     const SimEvent* event;
   };
   std::optional<Next> peek_next();
-  void dispatch(const SimEvent& event, std::size_t source);
+  void dispatch(const SimEvent& event);
   // Pops events with time <= limit until one is admitted and dispatches it;
   // false when no such event is left.
   bool step_until(Time limit);
@@ -191,16 +192,11 @@ class Simulation {
   // with a down endpoint and packets generated at a down node are suppressed
   // here (a suppressed meeting still counts as a transfer opportunity — the
   // radios were scheduled to meet; the node was just dead).
-  bool admit_event(const SimEvent& event, std::size_t source);
+  bool admit_event(const SimEvent& event);
   // Router-side crash/recover effects (buffer drop per policy, accounting),
   // run when the fault event is dispatched.
   void apply_fault_effects(const FaultEvent& fault);
 
-  const MeetingSchedule* schedule_ = nullptr;  // null on the streaming path
-  // Index of the built-in schedule source, whose capacity/meeting totals are
-  // pre-counted at begin(); meetings from every other source accrue into the
-  // metrics as they dispatch. npos when constructed without a schedule.
-  std::size_t schedule_source_ = static_cast<std::size_t>(-1);
   // Index of the fault source. Its stream is unbounded, so peek_next clips
   // it at the current duration instead of pop-and-skipping forever. npos
   // when node faults are disabled.

@@ -32,10 +32,7 @@ class BaselinesTest : public ::testing::Test {
   }
 
   void refresh_metrics() {
-    MeetingSchedule s;
-    s.num_nodes = ctx_.num_nodes;
-    s.duration = 100000;
-    metrics_.begin(pool_, s);
+    metrics_.begin(pool_);
   }
 
   Router& router(NodeId n) { return *routers_[static_cast<std::size_t>(n)]; }

@@ -93,10 +93,7 @@ class ContactSessionTest : public ::testing::Test {
   }
 
   void begin_metrics() {
-    MeetingSchedule s;
-    s.num_nodes = ctx_.num_nodes;
-    s.duration = 1000;
-    metrics_.begin(pool_, s);
+    metrics_.begin(pool_);
   }
 
   PacketPool pool_;
@@ -172,10 +169,7 @@ TEST_F(ContactSessionTest, PolicyCutIsDeterministicPerMeetingIndex) {
       x.buffer().insert(id, 1_KB);
       x.script.push_back(id);
     }
-    MeetingSchedule s;
-    s.num_nodes = 3;
-    s.duration = 1000;
-    metrics.begin(pool, s);
+    metrics.begin(pool);
     const Meeting m{0, 1, 10.0, 10_KB};
     return run_contact(x, y, m, meeting_index, config, pool, metrics).interrupted;
   };
@@ -272,10 +266,7 @@ TEST_F(ContactSessionTest, RapidRefusesDropVictimWhenIncomingIsLeastUseful) {
   const PacketId own_a = add_packet(1, 3, 0.0);
   const PacketId own_b = add_packet(1, 3, 1.0);
   const PacketId incoming = add_packet(0, 3, 2.0);
-  MeetingSchedule s;
-  s.num_nodes = 4;
-  s.duration = 1000;
-  metrics.begin(pool, s);
+  metrics.begin(pool);
   ASSERT_TRUE(receiver.on_generate(pool.get(own_a)));
   ASSERT_TRUE(receiver.on_generate(pool.get(own_b)));
   sender.on_generate(pool.get(incoming));

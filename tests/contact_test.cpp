@@ -86,10 +86,7 @@ class ContactTest : public ::testing::Test {
   }
 
   void begin_metrics() {
-    MeetingSchedule s;
-    s.num_nodes = ctx_.num_nodes;
-    s.duration = 1000;
-    metrics_.begin(pool_, s);
+    metrics_.begin(pool_);
   }
 
   PacketPool pool_;

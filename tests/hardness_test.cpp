@@ -59,10 +59,7 @@ AdversaryOutcome play_theorem_1a(ProtocolKind kind, int n) {
     routers.push_back(factory(node, ctx));
     oracle.set(node, routers.back().get());
   }
-  MeetingSchedule dummy;
-  dummy.num_nodes = num_nodes;
-  dummy.duration = 1000;
-  metrics.begin(pool, dummy);
+  metrics.begin(pool);
 
   for (const Packet& p : pool.all()) routers[0]->on_generate(p);
 

@@ -157,80 +157,6 @@ TEST(MobilityModel, ReplayModelRejectsUnsortedSchedule) {
   EXPECT_THROW(make_replay_model(s), std::invalid_argument);
 }
 
-// A hand-fed model for merge tests.
-class VectorModel : public MobilityModel {
- public:
-  VectorModel(int num_nodes, Time duration, std::vector<Meeting> meetings)
-      : num_nodes_(num_nodes), duration_(duration), meetings_(std::move(meetings)) {}
-
-  int num_nodes() const override { return num_nodes_; }
-  Time duration() const override { return duration_; }
-  const Meeting* peek() override {
-    return next_ < meetings_.size() ? &meetings_[next_] : nullptr;
-  }
-  void pop() override { ++next_; }
-
- private:
-  int num_nodes_;
-  Time duration_;
-  std::vector<Meeting> meetings_;
-  std::size_t next_ = 0;
-};
-
-TEST(MobilityModel, MergedModelInterleavesByTime) {
-  std::vector<std::unique_ptr<MobilityModel>> children;
-  children.push_back(std::make_unique<VectorModel>(
-      4, 100.0, std::vector<Meeting>{{0, 1, 10.0, 1_KB}, {0, 1, 40.0, 1_KB}}));
-  children.push_back(std::make_unique<VectorModel>(
-      4, 100.0, std::vector<Meeting>{{2, 3, 5.0, 1_KB}, {2, 3, 20.0, 1_KB}}));
-  MergedMobilityModel merged(std::move(children));
-  EXPECT_EQ(merged.num_nodes(), 4);
-  EXPECT_EQ(merged.duration(), 100.0);
-
-  std::vector<Time> times;
-  while (const Meeting* m = merged.peek()) {
-    times.push_back(m->time);
-    merged.pop();
-  }
-  EXPECT_EQ(times, (std::vector<Time>{5.0, 10.0, 20.0, 40.0}));
-}
-
-TEST(MobilityModel, MergedModelBreaksEqualTimestampsByRegistrationOrder) {
-  // The canonical deterministic tie-break: on equal times the
-  // earliest-registered child wins, exactly like Simulation's event-source
-  // poll. Interleave three children with colliding timestamps.
-  std::vector<std::unique_ptr<MobilityModel>> children;
-  children.push_back(std::make_unique<VectorModel>(
-      6, 100.0, std::vector<Meeting>{{0, 1, 10.0, 1_KB}, {0, 1, 30.0, 1_KB}}));
-  children.push_back(std::make_unique<VectorModel>(
-      6, 100.0,
-      std::vector<Meeting>{{2, 3, 10.0, 2_KB}, {2, 3, 10.0, 3_KB}, {2, 3, 30.0, 2_KB}}));
-  children.push_back(std::make_unique<VectorModel>(
-      6, 100.0, std::vector<Meeting>{{4, 5, 10.0, 4_KB}, {4, 5, 30.0, 4_KB}}));
-  MergedMobilityModel merged(std::move(children));
-
-  std::vector<std::pair<Time, NodeId>> order;
-  while (const Meeting* m = merged.peek()) {
-    order.emplace_back(m->time, m->a);
-    merged.pop();
-  }
-  const std::vector<std::pair<Time, NodeId>> expected = {
-      // t=10: child 0, then BOTH child-1 events (the child stays earliest
-      // while its head is tied), then child 2.
-      {10.0, 0}, {10.0, 2}, {10.0, 2}, {10.0, 4},
-      // t=30: registration order again.
-      {30.0, 0}, {30.0, 2}, {30.0, 4}};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(MobilityModel, MergedModelRejectsEmptyAndNullChildren) {
-  EXPECT_THROW(MergedMobilityModel(std::vector<std::unique_ptr<MobilityModel>>{}),
-               std::invalid_argument);
-  std::vector<std::unique_ptr<MobilityModel>> with_null;
-  with_null.push_back(nullptr);
-  EXPECT_THROW(MergedMobilityModel(std::move(with_null)), std::invalid_argument);
-}
-
 TEST(VehicularGrid, StreamsSortedValidMeetings) {
   VehicularGridConfig config;  // defaults: 36 vehicles, 6x6 grid, 2 h
   const Rng rng(81);

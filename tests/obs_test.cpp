@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -401,16 +402,22 @@ TEST(ObsSimulationTest, MeetingMatrixCountersFlushOnTraceScenario) {
 }
 
 TEST(ObsSimulationTest, StreamingRunCountsMobilityPops) {
-  ScenarioConfig config = tiny_powerlaw_config();
-  config.stream_mobility = true;
-  const Scenario scenario(config);
-  const Instance inst = scenario.instance(0, 10.0);
-  RunSpec spec;
-  const SimResult result = run_instance(scenario, inst, spec);
-  ASSERT_NE(result.obs, nullptr);
+  // Streamed and materialized instances reach the engine through the same
+  // mobility source, so both count one pop per meeting.
+  for (const bool stream : {true, false}) {
+    ScenarioConfig config = tiny_powerlaw_config();
+    config.stream_mobility = stream;
+    const Scenario scenario(config);
+    const Instance inst = scenario.instance(0, 10.0);
+    RunSpec spec;
+    const SimResult result = run_instance(scenario, inst, spec);
+    ASSERT_NE(result.obs, nullptr);
+    EXPECT_GT(result.meetings, 0u) << "stream_mobility=" << stream;
 #if RAPID_OBS_ENABLED
-  EXPECT_EQ(result.obs->metrics.value("mobility.pops"), result.meetings);
+    EXPECT_EQ(result.obs->metrics.value("mobility.pops"), result.meetings)
+        << "stream_mobility=" << stream;
 #endif
+  }
 }
 
 TEST(ObsSimulationTest, TracingAndProfilingNeverChangeFigureOutput) {
@@ -483,27 +490,22 @@ TEST(ObsSimulationTest, ProfiledRunAttributesMostOfTheWall) {
 
 // --- MetricsCollector accrual across event-source kinds -------------------------
 
-// Every way meetings can reach a Simulation. The capacity/meeting accrual
-// must agree across all of them for any schedule (the materialized path
-// pre-counts at begin() with a horizon clamp; the streaming paths accrue per
-// dispatched meeting).
+// Every way meetings can reach a Simulation. All of them go through a
+// MobilityEventSource, so capacity/meeting totals accrue per dispatched
+// meeting and agree at every point of the run, not just at its end.
 enum class SourceKind {
-  kMaterialized,     // built-in schedule source (begin() pre-count)
-  kInjectedSchedule, // make_schedule_source added onto a bounds-only sim
+  kMaterialized,     // Simulation(schedule, ...): the built-in replay source
   kBorrowedReplay,   // make_mobility_source(MobilityModel&) over a replay
   kOwnedReplay,      // make_mobility_source(unique_ptr) over a replay
   kGeneratorStream,  // the scenario's lazy PairStream generator
-  kMergedSplit,      // two replay halves through MergedMobilityModel
 };
 
 std::string source_kind_name(const ::testing::TestParamInfo<SourceKind>& info) {
   switch (info.param) {
     case SourceKind::kMaterialized: return "Materialized";
-    case SourceKind::kInjectedSchedule: return "InjectedSchedule";
     case SourceKind::kBorrowedReplay: return "BorrowedReplay";
     case SourceKind::kOwnedReplay: return "OwnedReplay";
     case SourceKind::kGeneratorStream: return "GeneratorStream";
-    case SourceKind::kMergedSplit: return "MergedSplit";
   }
   return "Unknown";
 }
@@ -519,76 +521,61 @@ TEST_P(MetricsAccrualTest, CapacityAndMeetingsAgreeWithMaterialized) {
       ProtocolKind::kEpidemic, scenario.protocol_params(), -1);
   const SimConfig sim_config;
   const SimBounds bounds{inst.num_nodes, inst.duration};
+  const Time half = inst.duration / 2;
 
-  // Reference: the materialized constructor's begin() pre-count.
+  // A mid-run report counts only the meetings dispatched so far.
+  std::size_t meetings_by_half = 0;
+  Bytes capacity_by_half = 0;
+  for (const Meeting& m : inst.schedule.meetings()) {
+    if (m.time > half) break;
+    ++meetings_by_half;
+    capacity_by_half += m.capacity;
+  }
+  ASSERT_GT(meetings_by_half, 0u);
+  ASSERT_LT(meetings_by_half, inst.schedule.size());
+
+  // Reference: the schedule constructor, reported at half time and at the end.
+  SimResult expected_half;
   SimResult expected;
   {
     Simulation sim(inst.schedule, inst.workload, factory, sim_config);
+    sim.run_until(half);
+    expected_half = sim.report_at(half);
     sim.run();
     expected = sim.finish();
   }
+  EXPECT_EQ(expected_half.meetings, meetings_by_half);
+  EXPECT_EQ(expected_half.capacity_bytes, capacity_by_half);
   EXPECT_EQ(expected.meetings, inst.schedule.size());
   EXPECT_EQ(expected.capacity_bytes, inst.schedule.total_capacity());
 
-  // Split halves (even/odd meetings) for the merged-model case; they must
-  // outlive the simulation below.
-  MeetingSchedule even;
-  MeetingSchedule odd;
-  even.num_nodes = odd.num_nodes = inst.schedule.num_nodes;
-  even.duration = odd.duration = inst.schedule.duration;
-  for (std::size_t i = 0; i < inst.schedule.meetings().size(); ++i) {
-    const Meeting& m = inst.schedule.meetings()[i];
-    (i % 2 == 0 ? even : odd).add(m.a, m.b, m.time, m.capacity);
-  }
   std::unique_ptr<MobilityModel> borrowed_model;
-
-  SimResult actual;
+  std::unique_ptr<Simulation> sim;
   switch (GetParam()) {
     case SourceKind::kMaterialized:
-      actual = expected;
+      sim = std::make_unique<Simulation>(inst.schedule, inst.workload, factory, sim_config);
       break;
-    case SourceKind::kInjectedSchedule: {
-      Simulation sim(bounds, inst.workload, factory, sim_config);
-      sim.add_event_source(make_schedule_source(inst.schedule));
-      sim.run();
-      actual = sim.finish();
-      break;
-    }
-    case SourceKind::kBorrowedReplay: {
+    case SourceKind::kBorrowedReplay:
       borrowed_model = make_replay_model(inst.schedule);
-      Simulation sim(bounds, inst.workload, factory, sim_config);
-      sim.add_event_source(make_mobility_source(*borrowed_model));
-      sim.run();
-      actual = sim.finish();
+      sim = std::make_unique<Simulation>(bounds, inst.workload, factory, sim_config);
+      sim->add_event_source(make_mobility_source(*borrowed_model));
       break;
-    }
-    case SourceKind::kOwnedReplay: {
-      Simulation sim(bounds, inst.workload, factory, sim_config);
-      sim.add_event_source(make_mobility_source(make_replay_model(inst.schedule)));
-      sim.run();
-      actual = sim.finish();
+    case SourceKind::kOwnedReplay:
+      sim = std::make_unique<Simulation>(bounds, inst.workload, factory, sim_config);
+      sim->add_event_source(make_mobility_source(make_replay_model(inst.schedule)));
       break;
-    }
-    case SourceKind::kGeneratorStream: {
-      Simulation sim(bounds, inst.workload, factory, sim_config);
-      sim.add_event_source(make_mobility_source(scenario.model(0)));
-      sim.run();
-      actual = sim.finish();
+    case SourceKind::kGeneratorStream:
+      sim = std::make_unique<Simulation>(bounds, inst.workload, factory, sim_config);
+      sim->add_event_source(make_mobility_source(scenario.model(0)));
       break;
-    }
-    case SourceKind::kMergedSplit: {
-      std::vector<std::unique_ptr<MobilityModel>> children;
-      children.push_back(make_replay_model(even));
-      children.push_back(make_replay_model(odd));
-      Simulation sim(bounds, inst.workload, factory, sim_config);
-      sim.add_event_source(make_mobility_source(
-          std::make_unique<MergedMobilityModel>(std::move(children))));
-      sim.run();
-      actual = sim.finish();
-      break;
-    }
   }
+  sim->run_until(half);
+  const SimResult actual_half = sim->report_at(half);
+  sim->run();
+  const SimResult actual = sim->finish();
 
+  EXPECT_EQ(actual_half.meetings, expected_half.meetings);
+  EXPECT_EQ(actual_half.capacity_bytes, expected_half.capacity_bytes);
   EXPECT_EQ(actual.meetings, expected.meetings);
   EXPECT_EQ(actual.capacity_bytes, expected.capacity_bytes);
   EXPECT_EQ(actual.delivered, expected.delivered);
@@ -598,11 +585,9 @@ TEST_P(MetricsAccrualTest, CapacityAndMeetingsAgreeWithMaterialized) {
 
 INSTANTIATE_TEST_SUITE_P(AllSourceKinds, MetricsAccrualTest,
                          ::testing::Values(SourceKind::kMaterialized,
-                                           SourceKind::kInjectedSchedule,
                                            SourceKind::kBorrowedReplay,
                                            SourceKind::kOwnedReplay,
-                                           SourceKind::kGeneratorStream,
-                                           SourceKind::kMergedSplit),
+                                           SourceKind::kGeneratorStream),
                          source_kind_name);
 
 }  // namespace

@@ -32,10 +32,7 @@ class RapidRouterTest : public ::testing::Test {
           n, capacities[static_cast<std::size_t>(n)], &ctx_, config, channel_));
       oracle_.set(n, routers_.back().get());
     }
-    MeetingSchedule s;
-    s.num_nodes = nodes;
-    s.duration = 100000;
-    metrics_.begin(pool_, s);
+    metrics_.begin(pool_);
   }
 
   RapidRouter& router(NodeId n) { return *routers_[static_cast<std::size_t>(n)]; }
@@ -50,10 +47,7 @@ class RapidRouterTest : public ::testing::Test {
     p.deadline = deadline;
     const PacketId id = pool_.add(p);
     // metrics vector must grow with the pool
-    MeetingSchedule s;
-    s.num_nodes = ctx_.num_nodes;
-    s.duration = 100000;
-    metrics_.begin(pool_, s);
+    metrics_.begin(pool_);
     return id;
   }
 

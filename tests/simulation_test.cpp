@@ -376,7 +376,7 @@ TEST(Simulation, KWayMergedMobilitySourcesKeepRegistrationOrderOnTies) {
 
 // Exact ties across and within sources: several meetings share each
 // timestamp, and a packet is created at exactly each of those times. The
-// workload source registers before the schedule source, so a packet created
+// workload source registers before the meeting source, so a packet created
 // at t dispatches before any meeting at t, and same-time meetings dispatch
 // in schedule order.
 TEST(Simulation, ExactTiesDispatchPacketsFirstThenMeetingsInScheduleOrder) {

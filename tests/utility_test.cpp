@@ -117,6 +117,13 @@ TEST(Utility, MetricNames) {
   EXPECT_EQ(to_string(RoutingMetric::kAvgDelay), "avg-delay");
   EXPECT_EQ(to_string(RoutingMetric::kMissedDeadlines), "missed-deadlines");
   EXPECT_EQ(to_string(RoutingMetric::kMaxDelay), "max-delay");
+  for (const RoutingMetric metric :
+       {RoutingMetric::kAvgDelay, RoutingMetric::kMissedDeadlines, RoutingMetric::kMaxDelay})
+    EXPECT_EQ(routing_metric_from_string(to_string(metric)), metric) << to_string(metric);
+  EXPECT_EQ(routing_metric_from_string("Max_Delay"), RoutingMetric::kMaxDelay);
+  EXPECT_EQ(routing_metric_from_string("deadlines"), RoutingMetric::kMissedDeadlines);
+  EXPECT_EQ(routing_metric_from_string("throughput"), std::nullopt);
+  EXPECT_EQ(routing_metric_from_string(""), std::nullopt);
 }
 
 // Parameterized sweep: marginal utility is continuous and positive across a

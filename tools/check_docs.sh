@@ -16,6 +16,11 @@
 #      exist, resolved from the repo root or from the commenting file's
 #      directory, so a comment never defers its reasoning to a missing
 #      document.
+#   5. Every token of a ctest -R '^(A|B|...)' regex in
+#      .github/workflows/ci.yml must be a prefix of a test suite declared in
+#      tests/*.cpp — the first argument of TEST/TEST_F/TEST_P, or
+#      Prefix/Suite from INSTANTIATE_TEST_SUITE_P — so a sanitizer job never
+#      silently selects fewer tests than its regex names.
 #
 # Exits non-zero listing every violation. No dependencies beyond bash +
 # coreutils + grep/sed.
@@ -102,8 +107,24 @@ while IFS= read -r hit; do
   done
 done < <(grep -rHoE --include='*.h' --include='*.cpp' '//.*\.md\b' src tests)
 
+# --- 5. CI test regexes name declared suites ---------------------------------
+
+# Declarations may wrap, so each test file is read as one line.
+suites=$(for file in tests/*.cpp; do
+  tr '\n' ' ' < "$file" | grep -oE '\bTEST(_F|_P)?\(\s*[A-Za-z0-9_]+' | sed -E 's/.*\(\s*//'
+  tr '\n' ' ' < "$file" |
+    grep -oE 'INSTANTIATE_TEST_SUITE_P\(\s*[A-Za-z0-9_]+\s*,\s*[A-Za-z0-9_]+' |
+    sed -E 's/.*\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)$/\1\/\2/'
+done | sort -u)
+
+for token in $(grep -oE -- "-R '\^\([^)]*\)'" .github/workflows/ci.yml |
+                 sed -E "s/^-R '\^\((.*)\)'$/\1/" | tr '|' '\n' | sort -u); do
+  grep -q "^${token}" <<< "$suites" ||
+    note_failure ".github/workflows/ci.yml: ctest regex token '$token' matches no suite declared in tests/*.cpp"
+done
+
 if [ "$failures" -gt 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (markdown links + header doc comments + tracked test inputs + named docs)"
+echo "check_docs: OK (markdown links + header doc comments + tracked test inputs + named docs + CI test regexes)"
