@@ -2,20 +2,41 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 #include "util/binio.h"
 
 namespace rapid {
 
-namespace {
-
-// Ordering for column-sorted (column, value) lists.
-bool column_less(const std::pair<NodeId, Time>& entry, NodeId column) {
-  return entry.first < column;
+void MeetingMatrix::RowPtr::release() {
+  if (p_ != nullptr && --p_->refs == 0) {
+    p_->~RowVersion();
+    ::operator delete(p_);
+  }
+  p_ = nullptr;
 }
 
-}  // namespace
+MeetingMatrix::RowPtr MeetingMatrix::make_row(std::uint32_t capacity, Time stamp) {
+  auto* version = new (::operator new(RowVersion::bytes(capacity))) RowVersion;
+  version->capacity = capacity;
+  version->stamp = stamp;
+  return RowPtr(version);
+}
+
+MeetingMatrix::RowPtr MeetingMatrix::row_from_dense(const std::vector<Time>& dense, Time stamp) {
+  const auto finite = static_cast<std::uint32_t>(std::count_if(
+      dense.begin(), dense.end(), [](Time cell) { return cell != kTimeInfinity; }));
+  RowPtr version = make_row(finite, stamp);
+  RowVersion& fill = *version.p_;
+  for (std::size_t c = 0; c < dense.size(); ++c) {
+    if (dense[c] == kTimeInfinity) continue;
+    fill.vals()[fill.count] = dense[c];
+    fill.cols()[fill.count++] = static_cast<NodeId>(c);
+  }
+  return version;
+}
 
 MeetingMatrix::MeetingMatrix(NodeId owner, int num_nodes, int max_hops)
     : owner_(owner), num_nodes_(num_nodes), max_hops_(max_hops) {
@@ -34,27 +55,49 @@ void MeetingMatrix::observe_meeting(NodeId peer, Time now) {
   if (stat == peers_.end() || stat->peer != peer) stat = peers_.insert(stat, PeerStat{peer});
   const Time gap = now - stat->last_met;  // first gap measured from time 0
 
-  // Own-row versions are immutable once gossiped: clone before editing when
-  // anyone else holds the current version (the gossiped copy stays valid
-  // wherever it travelled). A version nobody adopted yet — use_count == 1 —
-  // is still private and is edited in place.
+  // Own-row versions are immutable once gossiped: edit in place only while
+  // this matrix is the sole holder of the current version and it has room
+  // for the cell; otherwise clone (the gossiped copy stays valid wherever it
+  // travelled). A clone is sized to fit exactly — it is gossiped at the next
+  // exchange, so spare room would only be copied around the fleet.
   RowPtr& slot = rows_[static_cast<std::size_t>(owner_)];
-  RowVersion* fresh;
-  if (slot != nullptr && slot.use_count() == 1) {
-    fresh = const_cast<RowVersion*>(slot.get());
-  } else {
-    auto clone = slot == nullptr ? std::make_shared<RowVersion>()
-                                 : std::make_shared<RowVersion>(*slot);
-    fresh = clone.get();
-    slot = std::move(clone);
+  const RowVersion* current = slot.get();
+  const std::uint32_t count = current == nullptr ? 0 : current->count;
+  std::uint32_t at = 0;
+  if (current != nullptr) {
+    const NodeId* cols = current->cols();
+    at = static_cast<std::uint32_t>(std::lower_bound(cols, cols + count, peer) - cols);
   }
-  auto cell = std::lower_bound(fresh->finite.begin(), fresh->finite.end(), peer, column_less);
-  if (cell == fresh->finite.end() || cell->first != peer)
-    cell = fresh->finite.emplace(cell, peer, kTimeInfinity);
+  const bool present = at < count && current->cols()[at] == peer;
+  const std::uint32_t needed = count + (present ? 0 : 1);
+  if (current == nullptr || current->refs != 1 || current->capacity < needed) {
+    RowPtr clone = make_row(needed, now);
+    if (current != nullptr) {
+      // Copy around the insertion point; a new column's cell is filled below.
+      const std::uint32_t skip = present ? 0 : 1;
+      std::copy(current->vals(), current->vals() + at, clone.p_->vals());
+      std::copy(current->vals() + at, current->vals() + count, clone.p_->vals() + at + skip);
+      std::copy(current->cols(), current->cols() + at, clone.p_->cols());
+      std::copy(current->cols() + at, current->cols() + count, clone.p_->cols() + at + skip);
+    }
+    clone.p_->count = needed;
+    slot = std::move(clone);
+  } else if (!present) {
+    RowVersion& row = *slot.p_;
+    std::copy_backward(row.vals() + at, row.vals() + count, row.vals() + count + 1);
+    std::copy_backward(row.cols() + at, row.cols() + count, row.cols() + count + 1);
+    row.count = needed;
+  }
+  RowVersion* fresh = slot.p_;
+  Time& cell = fresh->vals()[at];
+  if (!present) {
+    fresh->cols()[at] = peer;
+    cell = kTimeInfinity;
+  }
   if (stat->count == 0) {
-    cell->second = gap;
+    cell = gap;
   } else {
-    cell->second += (gap - cell->second) / static_cast<double>(stat->count + 1);
+    cell += (gap - cell) / static_cast<double>(stat->count + 1);
   }
   fresh->stamp = now;
   ++stat->count;
@@ -70,13 +113,7 @@ bool MeetingMatrix::merge_row(NodeId node, const std::vector<Time>& row, Time st
   if (row.size() != static_cast<std::size_t>(num_nodes_))
     throw std::invalid_argument("MeetingMatrix::merge_row: row size mismatch");
   if (stamp <= stamps_[static_cast<std::size_t>(node)]) return false;
-  auto version = std::make_shared<RowVersion>();
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const Time cell = row[static_cast<std::size_t>(v)];
-    if (cell != kTimeInfinity) version->finite.emplace_back(v, cell);
-  }
-  version->stamp = stamp;
-  rows_[static_cast<std::size_t>(node)] = std::move(version);
+  rows_[static_cast<std::size_t>(node)] = row_from_dense(row, stamp);
   stamps_[static_cast<std::size_t>(node)] = stamp;
   ++generation_;
   ++stats_.rows_accepted;
@@ -99,8 +136,9 @@ Time MeetingMatrix::direct_mean(NodeId from, NodeId to) const {
   if (from == to) return 0;
   const RowPtr& v = rows_[static_cast<std::size_t>(from)];
   if (v == nullptr) return kTimeInfinity;
-  const auto cell = std::lower_bound(v->finite.begin(), v->finite.end(), to, column_less);
-  return cell != v->finite.end() && cell->first == to ? cell->second : kTimeInfinity;
+  const NodeId* cols = v->cols();
+  const NodeId* cell = std::lower_bound(cols, cols + v->count, to);
+  return cell != cols + v->count && *cell == to ? v->vals()[cell - cols] : kTimeInfinity;
 }
 
 namespace {
@@ -173,7 +211,8 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   dist.assign(n, kTimeInfinity);
   const RowPtr& own = rows_[static_cast<std::size_t>(from)];
   if (own != nullptr) {  // 1-hop paths
-    for (const auto& [v, val] : own->finite) dist[static_cast<std::size_t>(v)] = val;
+    for (std::uint32_t i = 0; i < own->count; ++i)
+      dist[static_cast<std::size_t>(own->cols()[i])] = own->vals()[i];
   }
   dist[static_cast<std::size_t>(from)] = 0;
 
@@ -187,8 +226,8 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
   std::size_t fn = 0;
   frontier[fn++] = from;
   if (own != nullptr) {
-    for (const auto& [v, val] : own->finite)
-      if (v != from) frontier[fn++] = v;
+    for (std::uint32_t i = 0; i < own->count; ++i)
+      if (own->cols()[i] != from) frontier[fn++] = own->cols()[i];
   }
 
   for (int round = 1; round < max_hops_ && fn > 0; ++round) {
@@ -196,25 +235,24 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
     const bool last = round == max_hops_ - 1;
     std::size_t count = 0;
     // RowVersions are scattered heap objects shared across the fleet, so a
-    // cold row costs a dependent-load chain (slot -> object -> pair data).
-    // The frontier is known ahead of time, so the chain is pipelined:
-    // prefetch the rows_ slot far out, the object it points to closer in,
-    // and every cache line of the pair data a few rows out.
+    // cold row costs a dependent-load chain (slot -> version). The frontier
+    // is known ahead of time, so the chain is pipelined: prefetch the rows_
+    // slot far out, the version's header closer in, and every cache line of
+    // the version (header, values, columns: one allocation) a few rows out.
     constexpr std::size_t kSlotAhead = 16;
-    constexpr std::size_t kObjAhead = 8;
+    constexpr std::size_t kHeaderAhead = 8;
     constexpr std::size_t kDataAhead = 3;
     for (std::size_t f = 0; f < fn; ++f) {
       if (f + kSlotAhead < fn)
         __builtin_prefetch(&rows_[static_cast<std::size_t>(frontier[f + kSlotAhead])]);
-      if (f + kObjAhead < fn)
-        __builtin_prefetch(rows_[static_cast<std::size_t>(frontier[f + kObjAhead])].get());
+      if (f + kHeaderAhead < fn)
+        __builtin_prefetch(rows_[static_cast<std::size_t>(frontier[f + kHeaderAhead])].get());
       if (f + kDataAhead < fn) {
         if (const RowVersion* ahead =
                 rows_[static_cast<std::size_t>(frontier[f + kDataAhead])].get()) {
           constexpr std::uintptr_t kLine = 64;
-          const auto begin = reinterpret_cast<std::uintptr_t>(ahead->finite.data());
-          const auto end =
-              reinterpret_cast<std::uintptr_t>(ahead->finite.data() + ahead->finite.size());
+          const auto begin = reinterpret_cast<std::uintptr_t>(ahead);
+          const auto end = reinterpret_cast<std::uintptr_t>(ahead->cols() + ahead->count);
           for (std::uintptr_t line = begin & ~(kLine - 1); line < end; line += kLine)
             __builtin_prefetch(reinterpret_cast<const void*>(line));
         }
@@ -223,22 +261,23 @@ const std::vector<Time>& MeetingMatrix::hop_row(NodeId from) const {
       if (head == kTimeInfinity) continue;
       const RowVersion* mid_version = rows_[static_cast<std::size_t>(frontier[f])].get();
       if (mid_version == nullptr) continue;
-      // Stream the packed (col, value) pairs — rows are sparse in large
+      // Stream the packed values and columns — rows are sparse in large
       // fleets. One probe addition per scanned row, not per edge.
-      const auto* pairs = mid_version->finite.data();
-      const std::size_t k = mid_version->finite.size();
+      const Time* vals = mid_version->vals();
+      const NodeId* cols = mid_version->cols();
+      const std::size_t k = mid_version->count;
       stats_.hop_edges += k;
       if (last) {
         for (std::size_t i = 0; i < k; ++i) {
-          const Time candidate = head + pairs[i].second;
-          Time& slot = d[static_cast<std::size_t>(pairs[i].first)];
+          const Time candidate = head + vals[i];
+          Time& slot = d[static_cast<std::size_t>(cols[i])];
           slot = candidate < slot ? candidate : slot;
         }
       } else {
         for (std::size_t i = 0; i < k; ++i) {
-          const NodeId v = pairs[i].first;
+          const NodeId v = cols[i];
           const auto vi = static_cast<std::size_t>(v);
-          const Time candidate = head + pairs[i].second;
+          const Time candidate = head + vals[i];
           const auto better = static_cast<std::uint8_t>(candidate < d[vi]);
           const std::uint8_t seen = flag[vi];
           d[vi] = candidate < d[vi] ? candidate : d[vi];
@@ -289,10 +328,10 @@ void MeetingMatrix::save(BinWriter& out) const {
     std::uint64_t id = 0;
     if (out.intern(v.get(), id)) {
       out.f64(v->stamp);
-      auto cell = v->finite.begin();
+      std::uint32_t cell = 0;
       for (std::size_t c = 0; c < n; ++c) {
-        const bool finite = cell != v->finite.end() && cell->first == static_cast<NodeId>(c);
-        out.f64(finite ? (cell++)->second : kTimeInfinity);
+        const bool finite = cell < v->count && v->cols()[cell] == static_cast<NodeId>(c);
+        out.f64(finite ? v->vals()[cell++] : kTimeInfinity);
       }
     }
   }
@@ -311,6 +350,9 @@ void MeetingMatrix::load(BinReader& in) {
     const auto count = static_cast<int>(in.i64());
     if (count != 0) peers_.push_back(PeerStat{static_cast<NodeId>(u), count, last_met[u]});
   }
+  // The reader's interning table holds shared_ptr<void>; each entry owns a
+  // handle on the version, so a later matrix in the snapshot re-shares it.
+  std::vector<Time> dense(n);
   for (std::size_t u = 0; u < n; ++u) {
     if (in.u8() == 0) {
       rows_[u] = nullptr;
@@ -318,17 +360,13 @@ void MeetingMatrix::load(BinReader& in) {
     }
     const std::uint64_t id = in.intern_id();
     if (std::shared_ptr<void> known = in.interned(id)) {
-      rows_[u] = std::static_pointer_cast<const RowVersion>(known);
+      rows_[u] = *std::static_pointer_cast<const RowPtr>(known);
       continue;
     }
-    auto version = std::make_shared<RowVersion>();
-    version->stamp = in.f64();
-    for (std::size_t c = 0; c < n; ++c) {
-      const Time cell = in.f64();
-      if (cell != kTimeInfinity) version->finite.emplace_back(static_cast<NodeId>(c), cell);
-    }
-    in.register_interned(id, version);
-    rows_[u] = std::move(version);
+    const Time stamp = in.f64();
+    for (std::size_t c = 0; c < n; ++c) dense[c] = in.f64();
+    rows_[u] = row_from_dense(dense, stamp);
+    in.register_interned(id, std::make_shared<RowPtr>(rows_[u]));
   }
 }
 

@@ -14,20 +14,32 @@
 //
 // Storage and recomputation are incremental and grow with what the owner
 // has learnt, not with the fleet: a row version is an immutable snapshot
-// (the finite entries as a column-sorted (column, value) list, plus a
-// stamp) shared between every node that learnt it, so gossiping a row is
-// one pointer assignment, the wire-size accounting reads the finite count in
-// O(1), a direct lookup is a binary search, and the h-hop relaxation walks
-// only finite columns. At 2000 nodes a row holds ~15 entries, so a version
-// is a few hundred bytes where a dense row would be 16 KB. h-hop estimates
-// are computed per *source* on demand (O(h·n·k) single-source relaxation
-// over k finite entries per row) and memoized until the matrix changes;
-// every mutation bumps a generation counter that the utility cache
-// (core/utility_cache.h) keys its delay estimates on.
+// (the finite entries, column-sorted, plus a stamp) shared between every node
+// that learnt it, so gossiping a row is one pointer copy, the wire-size
+// accounting reads the finite count in O(1), a direct lookup is a binary
+// search, and the h-hop relaxation walks only finite columns. A version is
+// one allocation: a small header followed by the values and then the
+// columns as two packed arrays. At 2000 nodes a row holds ~15 entries, so a
+// version is a few hundred bytes where a dense row would be 16 KB, and a
+// node's slot for a row it has not learnt is one null pointer (8 bytes).
+//
+// Versions are reference counted with a plain integer, not an atomic: they
+// are only ever shared between the matrices of one Simulation, and one
+// Simulation runs on one thread (--threads parallelises whole runs, each
+// with its own routers and versions). The owner edits its own row in place
+// while no other matrix holds the current version and the allocation has
+// room; otherwise it clones, and the copy it gossiped stays valid wherever
+// it travelled.
+//
+// h-hop estimates are computed per *source* on demand (O(h·n·k)
+// single-source relaxation over k finite entries per row) and memoized
+// until the matrix changes; every mutation bumps a generation counter that
+// the utility cache (core/utility_cache.h) keys its delay estimates on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -46,16 +58,61 @@ class BinWriter;
 // caches but never change what any query returns).
 class MeetingMatrix {
  public:
-  // An immutable learnt row: the finite entries as (column, value) pairs in
-  // ascending column order, and the freshness stamp. Columns absent from
-  // `finite` are infinity. Shared (never mutated) between every matrix that
-  // learnt this version. The h-hop relaxation streams the packed pairs with
-  // a single pointer dereference per row.
+  // An immutable learnt row, one allocation: this header, then
+  // Time vals[capacity], then NodeId cols[capacity]. The first `count`
+  // entries of each array are the finite entries in ascending column order;
+  // absent columns are infinity. Shared (never mutated once another matrix
+  // holds it) between every matrix that learnt this version. `refs` is the
+  // number of RowPtr handles holding it — a plain integer, since versions
+  // never leave the thread of the Simulation that made them.
   struct RowVersion {
-    std::vector<std::pair<NodeId, Time>> finite;
+    std::uint32_t refs = 0;
+    std::uint32_t count = 0;
+    std::uint32_t capacity = 0;
     Time stamp = -kTimeInfinity;
+
+    const Time* vals() const { return reinterpret_cast<const Time*>(this + 1); }
+    const NodeId* cols() const { return reinterpret_cast<const NodeId*>(vals() + capacity); }
+    Time* vals() { return reinterpret_cast<Time*>(this + 1); }
+    NodeId* cols() { return reinterpret_cast<NodeId*>(vals() + capacity); }
+    // Bytes of the whole allocation (header and both arrays).
+    static std::size_t bytes(std::uint32_t capacity) {
+      return sizeof(RowVersion) + capacity * (sizeof(Time) + sizeof(NodeId));
+    }
   };
-  using RowPtr = std::shared_ptr<const RowVersion>;
+
+  // An 8-byte owning handle on a RowVersion: copying bumps `refs`, the last
+  // handle frees the allocation. Only MeetingMatrix makes versions.
+  class RowPtr {
+   public:
+    RowPtr() = default;
+    RowPtr(std::nullptr_t) {}
+    RowPtr(const RowPtr& other) : p_(other.p_) {
+      if (p_ != nullptr) ++p_->refs;
+    }
+    RowPtr(RowPtr&& other) noexcept : p_(other.p_) { other.p_ = nullptr; }
+    // Copy and move assignment in one: `other` holds the new reference and
+    // releases the old one when it goes out of scope.
+    RowPtr& operator=(RowPtr other) noexcept {
+      std::swap(p_, other.p_);
+      return *this;
+    }
+    ~RowPtr() { release(); }
+
+    const RowVersion* get() const { return p_; }
+    const RowVersion* operator->() const { return p_; }
+    const RowVersion& operator*() const { return *p_; }
+    bool operator==(std::nullptr_t) const { return p_ == nullptr; }
+    bool operator!=(std::nullptr_t) const { return p_ != nullptr; }
+
+   private:
+    friend class MeetingMatrix;
+    // Adopts a fresh version (refs 0) as its first holder.
+    explicit RowPtr(RowVersion* fresh) : p_(fresh) { ++p_->refs; }
+    void release();
+
+    RowVersion* p_ = nullptr;
+  };
 
   // `owner` is the node whose local view this is; `num_nodes` sizes the table.
   MeetingMatrix(NodeId owner, int num_nodes, int max_hops = 3);
@@ -74,7 +131,7 @@ class MeetingMatrix {
   // stale rows are ignored. Returns true if the row was accepted.
   bool merge_row(NodeId node, const std::vector<Time>& row, Time stamp);
   // Zero-copy variant for same-process gossip: adopts the shared version
-  // (finite entries and stamp travel as one pointer).
+  // (finite entries and stamp travel as one handle copy).
   bool merge_row(NodeId node, const RowPtr& version);
   // The learnt version of `node`'s row, for zero-copy gossip; null when
   // nothing was learnt yet.
@@ -97,7 +154,7 @@ class MeetingMatrix {
   // (precomputed per row version), feeding the metadata wire-size accounting.
   int finite_count(NodeId node) const {
     const RowPtr& v = rows_[static_cast<std::size_t>(node)];
-    return v == nullptr ? 0 : static_cast<int>(v->finite.size());
+    return v == nullptr ? 0 : static_cast<int>(v->count);
   }
 
   // Bumped on every accepted mutation (observe_meeting, accepted merge_row);
@@ -125,6 +182,11 @@ class MeetingMatrix {
   void load(BinReader& in);
 
  private:
+  // A fresh, unshared version with room for `capacity` entries.
+  static RowPtr make_row(std::uint32_t capacity, Time stamp);
+  // A fresh version holding the finite cells of a dense row (column = index).
+  static RowPtr row_from_dense(const std::vector<Time>& dense, Time stamp);
+
   NodeId owner_;
   int num_nodes_;
   int max_hops_;

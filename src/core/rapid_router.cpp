@@ -130,11 +130,14 @@ double RapidRouter::replica_rate(const Packet& p) const {
     return rate;
   }
 
+  // The self term's Algorithm-2 inputs are gathered once: they key the
+  // cached rate and feed the self delay it embeds.
   const bool in_buffer = buffer().contains(p.id);
+  UtilityCache::DelayInputs inputs;
   const auto compute = [&] {
     double rate = 0;
     if (in_buffer) {
-      const double d = self_direct_delay(p);
+      const double d = direct_delay_at(p, inputs);
       if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
     }
     for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
@@ -146,10 +149,12 @@ double RapidRouter::replica_rate(const Packet& p) const {
   };
   if (!config_.use_utility_cache) {
     cache_.note_eager_rate();
+    if (in_buffer) inputs = delay_inputs(p);
     return compute();
   }
-  const UtilityCache::RateInputs inputs{delay_inputs(p), meta_.generation(p.id), in_buffer};
-  return cache_.rate(p.id, inputs, compute);
+  inputs = delay_inputs(p);
+  return cache_.rate(p.id, UtilityCache::RateInputs{inputs, meta_.generation(p.id), in_buffer},
+                     compute);
 }
 
 double RapidRouter::expected_total_delay_of(const Packet& p, Time now) const {
@@ -294,7 +299,10 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   };
 
   // Priority 1: scalar — average size of past transfer opportunities.
-  if (fits(kScalarBytes)) used += kScalarBytes;
+  if (fits(kScalarBytes)) {
+    used += kScalarBytes;
+    meta_bytes_.scalar += kScalarBytes;
+  }
 
   // Priority 2: delivery acknowledgments (delta: only those the peer lacks).
   // The packed ack table is walked in place; learning into the peer never
@@ -303,6 +311,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
     if (peer.knows_ack(e.id)) continue;
     if (!fits(kAckEntryBytes)) break;
     used += kAckEntryBytes;
+    meta_bytes_.acks += kAckEntryBytes;
     peer.learn_ack(e.id, e.when);
   }
 
@@ -320,8 +329,9 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
                        kMeetingRowEntryBytes * static_cast<Bytes>(matrix_.finite_count(u));
     if (!fits(cost)) break;
     used += cost;
+    meta_bytes_.rows += cost;
     // Same-process gossip adopts the shared immutable row version: one
-    // pointer assignment, no n-cell copy.
+    // 8-byte handle copy, no n-cell copy.
     peer.matrix_.merge_row(u, matrix_.share_row(u));
   }
 
@@ -357,6 +367,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
         return false;  // budget spent: stop walking the remaining queues
       }
       used += cost;
+      meta_bytes_.own += cost;
       const UtilityCache::DelayInputs inputs{prefix, opportunity, meeting};
       peer.meta_.update_replica(p.id,
                                 ReplicaEstimate{self(), direct_delay_at(p, inputs), now});
@@ -382,6 +393,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
       const Bytes cost = MetadataStore::record_bytes(*record);
       if (!relay_fits(cost)) return finish();
       used += cost;
+      meta_bytes_.relayed += cost;
       for (const ReplicaEstimate& est : record->replicas) {
         if (est.holder == peer.self()) continue;
         peer.meta_.update_replica(id, est);
@@ -538,6 +550,11 @@ void RapidRouter::flush_obs(obs::ObsContext& out) const {
   out.metrics.add(obs::Counter::kMatrixHopRecomputes, m.hop_recomputes);
   out.metrics.add(obs::Counter::kMatrixHopEdges, m.hop_edges);
   out.metrics.add(obs::Counter::kMatrixRowsAccepted, m.rows_accepted);
+  out.metrics.add(obs::Counter::kMetaBytesScalar, meta_bytes_.scalar);
+  out.metrics.add(obs::Counter::kMetaBytesAcks, meta_bytes_.acks);
+  out.metrics.add(obs::Counter::kMetaBytesRows, meta_bytes_.rows);
+  out.metrics.add(obs::Counter::kMetaBytesOwn, meta_bytes_.own);
+  out.metrics.add(obs::Counter::kMetaBytesRelayed, meta_bytes_.relayed);
 }
 
 PacketId RapidRouter::choose_drop_victim(const Packet& incoming, Time now) {

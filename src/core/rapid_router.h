@@ -26,6 +26,7 @@
 // dual-path figure tests.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -150,6 +151,18 @@ class RapidRouter : public Router {
   const PeerLink* find_link(NodeId peer) const;
   PeerLink& link_for(NodeId peer);  // find-or-insert
 
+  // Metadata bytes this router sent, by exchange_metadata priority; flushed
+  // by flush_obs as meta.bytes.{scalar,acks,rows,own,relayed}. Their sum
+  // over all routers is the run's in-band metadata volume.
+  struct MetaBytes {
+    std::uint64_t scalar = 0;   // average transfer-opportunity size
+    std::uint64_t acks = 0;     // delivery acknowledgments
+    std::uint64_t rows = 0;     // meeting-time rows
+    std::uint64_t own = 0;      // estimates for this node's buffered packets
+    std::uint64_t relayed = 0;  // third-party replica records
+  };
+  MetaBytes meta_bytes_;
+
   // Incremental utility engine: owns the flat per-destination queues
   // ((created, id, size) ascending by age rank — front is oldest, i.e.
   // delivered first, §4.1) and the generation-keyed memo of per-packet
@@ -177,7 +190,8 @@ class RapidRouter : public Router {
   double direct_delay(const Packet& p) const;
   // Same estimate with the inputs already in hand — the bulk own-buffer pass
   // hoists the per-destination terms and accumulates the byte prefix while
-  // walking a queue, instead of re-deriving all three per packet.
+  // walking a queue, instead of re-deriving all three per packet, and
+  // replica_rate reuses the inputs it gathered for its cache key.
   double direct_delay_at(const Packet& p, const UtilityCache::DelayInputs& inputs) const;
   UtilityCache::DelayInputs delay_inputs(const Packet& p) const;
 

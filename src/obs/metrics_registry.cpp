@@ -24,6 +24,11 @@ const char* counter_name(Counter c) {
     case Counter::kMatrixHopEdges: return "matrix.hop_edges";
     case Counter::kMatrixHopRecomputes: return "matrix.hop_recomputes";
     case Counter::kMatrixRowsAccepted: return "matrix.rows_accepted";
+    case Counter::kMetaBytesAcks: return "meta.bytes.acks";
+    case Counter::kMetaBytesOwn: return "meta.bytes.own";
+    case Counter::kMetaBytesRelayed: return "meta.bytes.relayed";
+    case Counter::kMetaBytesRows: return "meta.bytes.rows";
+    case Counter::kMetaBytesScalar: return "meta.bytes.scalar";
     case Counter::kMobilityPops: return "mobility.pops";
     case Counter::kPoolSteals: return "pool.steals";
     case Counter::kPoolSubmitted: return "pool.submitted";

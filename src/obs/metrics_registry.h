@@ -39,6 +39,11 @@ enum class Counter : std::uint16_t {
   kMatrixHopEdges,
   kMatrixHopRecomputes,
   kMatrixRowsAccepted,
+  kMetaBytesAcks,
+  kMetaBytesOwn,
+  kMetaBytesRelayed,
+  kMetaBytesRows,
+  kMetaBytesScalar,
   kMobilityPops,
   kPoolSteals,
   kPoolSubmitted,

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "core/meeting_matrix.h"
 
 namespace rapid {
@@ -143,6 +150,126 @@ TEST(MeetingMatrix, InvalidArgumentsThrow) {
   EXPECT_THROW(m.observe_meeting(0, 1.0), std::invalid_argument);
   EXPECT_THROW(m.observe_meeting(5, 1.0), std::invalid_argument);
   EXPECT_THROW(m.merge_row(1, {1.0}, 0.0), std::invalid_argument);
+}
+
+// --- row-version lifetime ---------------------------------------------------
+// A row version is one allocation behind an 8-byte handle with a plain
+// (single-threaded) reference count. These tests pin the clone-vs-edit rule
+// and reclamation; the sanitizer job runs them under LeakSanitizer.
+
+static_assert(sizeof(MeetingMatrix::RowPtr) == sizeof(void*),
+              "a row handle is one pointer, with no control block beside it");
+
+// A version's content, copied out bit for bit.
+struct RowImage {
+  Time stamp = 0;
+  std::vector<NodeId> cols;
+  std::vector<std::uint64_t> val_bits;
+
+  explicit RowImage(const MeetingMatrix::RowVersion& v) : stamp(v.stamp) {
+    cols.assign(v.cols(), v.cols() + v.count);
+    for (std::uint32_t i = 0; i < v.count; ++i) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v.vals()[i], sizeof bits);
+      val_bits.push_back(bits);
+    }
+  }
+  bool operator==(const RowImage& o) const {
+    return std::memcmp(&stamp, &o.stamp, sizeof stamp) == 0 && cols == o.cols &&
+           val_bits == o.val_bits;
+  }
+};
+
+TEST(RowVersionLifetime, OwnerEditsInPlaceOnlyWhileSoleHolder) {
+  MeetingMatrix owner(0, 4);
+  MeetingMatrix peer(1, 4);
+  owner.observe_meeting(1, 10.0);
+  owner.observe_meeting(2, 15.0);
+  // Private and with room for both columns: re-meetings edit in place.
+  const MeetingMatrix::RowVersion* private_version = owner.share_row(0).get();
+  ASSERT_NE(private_version, nullptr);
+  for (const Time now : {20.0, 30.0, 45.0}) {
+    owner.observe_meeting(1, now);
+    owner.observe_meeting(2, now + 1.0);
+    EXPECT_EQ(owner.share_row(0).get(), private_version) << "t=" << now;
+  }
+  EXPECT_EQ(owner.share_row(0)->stamp, 46.0);
+
+  // A peer adopts the version: the next observation clones.
+  ASSERT_TRUE(peer.merge_row(0, owner.share_row(0)));
+  EXPECT_EQ(peer.share_row(0).get(), private_version);
+  owner.observe_meeting(1, 50.0);
+  const MeetingMatrix::RowVersion* clone = owner.share_row(0).get();
+  EXPECT_NE(clone, private_version);
+  EXPECT_EQ(peer.share_row(0).get(), private_version);
+
+  // The clone is private again until gossiped: edited in place.
+  owner.observe_meeting(2, 60.0);
+  EXPECT_EQ(owner.share_row(0).get(), clone);
+  EXPECT_DOUBLE_EQ(owner.direct_mean(0, 2), 12.0);  // gaps 15, 6, 10, 15, 14
+  EXPECT_DOUBLE_EQ(peer.direct_mean(0, 2), 11.5);   // the adopted gaps 15, 6, 10, 15
+}
+
+TEST(RowVersionLifetime, AdoptedVersionIsBitUnchangedByOwnerEdits) {
+  MeetingMatrix owner(0, 6);
+  MeetingMatrix a(1, 6);
+  MeetingMatrix b(2, 6);
+  owner.observe_meeting(3, 7.0);
+  owner.observe_meeting(1, 9.5);
+  ASSERT_TRUE(a.merge_row(0, owner.share_row(0)));
+  const RowImage adopted(*a.share_row(0));
+  ASSERT_EQ(adopted.cols, (std::vector<NodeId>{1, 3}));
+
+  // Edits of existing and new columns, before and after a second adoption.
+  owner.observe_meeting(3, 20.0);
+  owner.observe_meeting(5, 21.0);
+  ASSERT_TRUE(b.merge_row(0, owner.share_row(0)));
+  const RowImage second(*b.share_row(0));
+  owner.observe_meeting(2, 30.0);
+  owner.observe_meeting(1, 31.0);
+  owner.observe_meeting(4, 32.0);
+
+  EXPECT_TRUE(RowImage(*a.share_row(0)) == adopted);
+  EXPECT_TRUE(RowImage(*b.share_row(0)) == second);
+  EXPECT_EQ(a.finite_count(0), 2);
+  EXPECT_EQ(b.finite_count(0), 3);
+  EXPECT_EQ(owner.finite_count(0), 5);
+  EXPECT_EQ(a.row_stamp(0), 9.5);
+  EXPECT_EQ(b.row_stamp(0), 21.0);
+  EXPECT_EQ(owner.row_stamp(0), 32.0);
+}
+
+TEST(RowVersionLifetime, MatricesCanBeDestroyedInEveryOrder) {
+  // Three matrices hold each other's rows; every destruction order leaves
+  // the survivors' views intact, and the last holder frees each version.
+  std::array<std::size_t, 3> order{0, 1, 2};
+  do {
+    std::vector<std::unique_ptr<MeetingMatrix>> m;
+    for (NodeId i = 0; i < 3; ++i) {
+      m.push_back(std::make_unique<MeetingMatrix>(i, 4));
+      m.back()->observe_meeting((i + 1) % 3, 10.0 + i);
+      m.back()->observe_meeting(3, 20.0 + i);
+    }
+    for (NodeId i = 0; i < 3; ++i)
+      for (NodeId j = 0; j < 3; ++j)
+        if (i != j) m[j]->merge_row(i, m[i]->share_row(i));
+    // Node 1 relays node 0's row on to a fourth matrix, which dies first.
+    auto relay = std::make_unique<MeetingMatrix>(3, 4);
+    relay->merge_row(0, m[1]->share_row(0));
+    relay.reset();
+    std::vector<Time> expect;
+    for (NodeId i = 0; i < 3; ++i) expect.push_back(m[0]->direct_mean(i, 3));
+
+    for (std::size_t step = 0; step < order.size(); ++step) {
+      m[order[step]].reset();
+      for (const auto& survivor : m) {
+        if (survivor == nullptr) continue;
+        for (NodeId i = 0; i < 3; ++i)
+          EXPECT_EQ(survivor->direct_mean(i, 3), expect[i])
+              << "order " << order[0] << order[1] << order[2] << ", step " << step;
+      }
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 }  // namespace

@@ -376,6 +376,15 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
   // RAPID ran with the utility cache: its router-side probes must have
   // flushed through Router::flush_obs.
   EXPECT_GT(m.value("utility.delay_recomputes") + m.value("utility.delay_hits"), 0u);
+  // All-RAPID with the in-band control channel: every metadata byte a
+  // contact charged was sent by exchange_metadata under one of its five
+  // priorities.
+  EXPECT_GT(m.value("meta.bytes.scalar"), 0u);
+  EXPECT_GT(m.value("meta.bytes.rows"), 0u);
+  EXPECT_EQ(m.value("meta.bytes.scalar") + m.value("meta.bytes.acks") +
+                m.value("meta.bytes.rows") + m.value("meta.bytes.own") +
+                m.value("meta.bytes.relayed"),
+            m.value("contact.metadata_bytes"));
 #else
   // Stripped build: the report exists but carries only zeros.
   EXPECT_EQ(m.value("sim.events.meeting"), 0u);

@@ -50,7 +50,9 @@ TEST_P(BufferFuzz, MatchesReferenceModel) {
     }
     ASSERT_EQ(buffer.used(), model_used);
     ASSERT_EQ(buffer.count(), model.size());
-    if (capacity >= 0) ASSERT_LE(buffer.used(), capacity);
+    if (capacity >= 0) {
+      ASSERT_LE(buffer.used(), capacity);
+    }
   }
   // Final content comparison.
   std::set<PacketId> in_buffer;

@@ -61,7 +61,9 @@ TEST_P(ProtocolMatrix, RunsAndSatisfiesInvariants) {
     EXPECT_GE(r.max_delay, r.avg_delay);
   }
   // Storage classes: constrained buffers may drop; unlimited must not.
-  if (c.buffer < 0) EXPECT_EQ(r.drops, 0u);
+  if (c.buffer < 0) {
+    EXPECT_EQ(r.drops, 0u);
+  }
   // Something must be delivered in every configuration of this scenario.
   EXPECT_GT(r.delivery_rate, 0.1);
 }

@@ -101,8 +101,8 @@ TEST(StreamingFootprint, LiveHeapIsIndependentOfMeetingCount) {
 // entries, and per-peer and per-destination records exist only once that
 // peer was met or that destination queued for. On the 2000-node stream a
 // dense per-router layout costs ~350 KB a node before the first contact and
-// ~820 MB of live heap an eighth of the way in; the sparse one ~70 KB and
-// ~170 MB.
+// ~820 MB of live heap an eighth of the way in; the sparse one with 8-byte
+// row handles over single-allocation row versions ~52 KB and ~124 MB.
 TEST(StreamingFootprint, RapidStateIsSparseInFleetSize) {
   const ScenarioConfig config = runner::ScenarioRegistry::global().make("powerlaw-stream");
   const Scenario scenario(config);
@@ -120,7 +120,7 @@ TEST(StreamingFootprint, RapidStateIsSparseInFleetSize) {
   const std::size_t before = live_heap_bytes();
   Simulation sim(SimBounds{nodes, duration}, instance.workload, factory, sim_config);
   const std::size_t constructed = live_heap_bytes() - before;
-  EXPECT_LE(constructed, std::size_t{96} * 1024 * static_cast<std::size_t>(nodes))
+  EXPECT_LE(constructed, std::size_t{64} * 1024 * static_cast<std::size_t>(nodes))
       << "constructing " << nodes << " RAPID routers added " << constructed / nodes
       << " bytes of live heap per node";
 
@@ -128,7 +128,7 @@ TEST(StreamingFootprint, RapidStateIsSparseInFleetSize) {
   sim.run_until(duration / 8);
   ASSERT_GT(sim.meetings_run(), 0);
   const std::size_t grown = live_heap_bytes() - before;
-  EXPECT_LE(grown, std::size_t{256} << 20)
+  EXPECT_LE(grown, std::size_t{160} << 20)
       << "the live heap grew by " << (grown >> 20) << " MB over " << sim.meetings_run()
       << " meetings";
 }
