@@ -39,13 +39,13 @@ SmallWorld make_world(std::uint64_t seed, double load = 2.0) {
   return world;
 }
 
-RouterFactory factory_for(ProtocolKind kind) {
+RouterFactory factory_for(ProtocolKind kind, Bytes buffer = -1) {
   ProtocolParams params;
   params.rapid_prior_meeting_time = 600;
   params.rapid_prior_opportunity = 8_KB;
   params.rapid_delay_cap = 1200;
   params.prophet_aging_unit = 10;
-  return make_protocol_factory(kind, params, -1);
+  return make_protocol_factory(kind, params, buffer);
 }
 
 void expect_identical(const SimResult& a, const SimResult& b) {
@@ -240,11 +240,15 @@ TEST(Simulation, MetricInvariantsHoldUnderLinkPolicies) {
 TEST(Simulation, LinkPolicyResultsArePinned) {
   // Exact results on the cut, asymmetric and link-fault contact paths, so a
   // change to the transfer loop's budgets, cut or corruption draws cannot
-  // pass as "still within the invariants" above.
+  // pass as "still within the invariants" above. The 4 KB-buffer rows make
+  // every protocol but Direct (which never evicts) drop packets, so the
+  // eviction path, the oldest-first order's removals and Random's plan are
+  // pinned too.
   struct Pin {
     double rate;
     double forward;
     bool faulty;
+    Bytes buffer;
     ProtocolKind kind;
     std::size_t delivered;
     Bytes data_bytes;
@@ -252,33 +256,42 @@ TEST(Simulation, LinkPolicyResultsArePinned) {
     std::size_t partial_transfers;
     Bytes partial_bytes;
     std::size_t corrupted_transfers;
+    std::size_t drops;
   };
   const Pin pins[] = {
-      {0.5, -1.0, false, ProtocolKind::kRapid, 109, 555176, 206760, 56, 26792, 0},
-      {0.5, -1.0, false, ProtocolKind::kMaxProp, 109, 558565, 122120, 53, 28133, 0},
-      {0.5, -1.0, false, ProtocolKind::kSprayWait, 109, 831569, 0, 70, 36945, 0},
-      {0.5, -1.0, false, ProtocolKind::kProphet, 109, 733865, 35968, 54, 31401, 0},
-      {0.5, -1.0, false, ProtocolKind::kEpidemic, 109, 837616, 0, 67, 35824, 0},
-      {0.5, -1.0, false, ProtocolKind::kDirect, 104, 110503, 0, 6, 4007, 0},
-      {0.0, 0.7, false, ProtocolKind::kRapid, 110, 526336, 202824, 0, 0, 0},
-      {0.0, 0.7, false, ProtocolKind::kMaxProp, 110, 531456, 122168, 0, 0, 0},
-      {0.0, 0.7, false, ProtocolKind::kSprayWait, 110, 780288, 0, 0, 0, 0},
-      {0.0, 0.7, false, ProtocolKind::kProphet, 110, 661504, 35968, 0, 0, 0},
-      {0.0, 0.7, false, ProtocolKind::kEpidemic, 110, 796672, 0, 0, 0, 0},
-      {0.0, 0.7, false, ProtocolKind::kDirect, 104, 106496, 0, 0, 0, 0},
-      {0.5, 0.7, false, ProtocolKind::kRapid, 109, 519376, 208888, 46, 23760, 0},
-      {0.5, 0.7, false, ProtocolKind::kMaxProp, 110, 551146, 122136, 51, 27882, 0},
-      {0.5, 0.7, false, ProtocolKind::kSprayWait, 109, 785362, 0, 55, 31698, 0},
-      {0.5, 0.7, false, ProtocolKind::kProphet, 110, 669813, 35968, 45, 25717, 0},
-      {0.5, 0.7, false, ProtocolKind::kEpidemic, 109, 790733, 0, 55, 31949, 0},
-      {0.5, 0.7, false, ProtocolKind::kDirect, 103, 110142, 0, 6, 4670, 0},
-      {0.0, -1.0, true, ProtocolKind::kRapid, 110, 671744, 208000, 0, 0, 139},
+      {0.5, -1.0, false, -1, ProtocolKind::kRapid, 109, 555176, 206760, 56, 26792, 0, 0},
+      {0.5, -1.0, false, -1, ProtocolKind::kMaxProp, 109, 558565, 122120, 53, 28133, 0, 0},
+      {0.5, -1.0, false, -1, ProtocolKind::kSprayWait, 109, 831569, 0, 70, 36945, 0, 0},
+      {0.5, -1.0, false, -1, ProtocolKind::kProphet, 109, 733865, 35968, 54, 31401, 0, 0},
+      {0.5, -1.0, false, -1, ProtocolKind::kEpidemic, 109, 837616, 0, 67, 35824, 0, 0},
+      {0.5, -1.0, false, -1, ProtocolKind::kDirect, 104, 110503, 0, 6, 4007, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kRapid, 110, 526336, 202824, 0, 0, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kMaxProp, 110, 531456, 122168, 0, 0, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kSprayWait, 110, 780288, 0, 0, 0, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kProphet, 110, 661504, 35968, 0, 0, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kEpidemic, 110, 796672, 0, 0, 0, 0, 0},
+      {0.0, 0.7, false, -1, ProtocolKind::kDirect, 104, 106496, 0, 0, 0, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kRapid, 109, 519376, 208888, 46, 23760, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kMaxProp, 110, 551146, 122136, 51, 27882, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kSprayWait, 109, 785362, 0, 55, 31698, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kProphet, 110, 669813, 35968, 45, 25717, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kEpidemic, 109, 790733, 0, 55, 31949, 0, 0},
+      {0.5, 0.7, false, -1, ProtocolKind::kDirect, 103, 110142, 0, 6, 4670, 0, 0},
+      {0.0, -1.0, true, -1, ProtocolKind::kRapid, 110, 671744, 208000, 0, 0, 139, 0},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kRapid, 110, 574464, 200992, 0, 0, 0, 69},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kMaxProp, 106, 587776, 122000, 0, 0, 0, 126},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kSprayWait, 77, 568320, 0, 0, 0, 0, 563},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kProphet, 64, 450560, 35968, 0, 0, 0, 461},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kRandom, 66, 1019904, 0, 0, 0, 0, 1015},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kRandomAcks, 101, 549888, 4800, 0, 0, 0, 106},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kEpidemic, 90, 1143808, 0, 0, 0, 0, 1112},
+      {0.0, -1.0, false, 4_KB, ProtocolKind::kDirect, 32, 32768, 0, 0, 0, 0, 0},
   };
   const SmallWorld world = make_world(26);
   for (const Pin& pin : pins) {
     SCOPED_TRACE(to_string(pin.kind) + " rate=" + std::to_string(pin.rate) +
                  " forward=" + std::to_string(pin.forward) +
-                 (pin.faulty ? " faulty" : ""));
+                 " buffer=" + std::to_string(pin.buffer) + (pin.faulty ? " faulty" : ""));
     SimConfig config;
     config.contact.link.interruption_rate = pin.rate;
     config.contact.link.forward_fraction = pin.forward;
@@ -288,13 +301,14 @@ TEST(Simulation, LinkPolicyResultsArePinned) {
       config.contact.fault.meta_degrade_rate = 0.3;
     }
     const SimResult r =
-        run_simulation(world.schedule, world.workload, factory_for(pin.kind), config);
+        run_simulation(world.schedule, world.workload, factory_for(pin.kind, pin.buffer), config);
     EXPECT_EQ(r.delivered, pin.delivered);
     EXPECT_EQ(r.data_bytes, pin.data_bytes);
     EXPECT_EQ(r.metadata_bytes, pin.metadata_bytes);
     EXPECT_EQ(r.partial_transfers, pin.partial_transfers);
     EXPECT_EQ(r.partial_bytes, pin.partial_bytes);
     EXPECT_EQ(r.corrupted_transfers, pin.corrupted_transfers);
+    EXPECT_EQ(r.drops, pin.drops);
   }
 }
 
