@@ -3,9 +3,6 @@
 // ablations.
 #pragma once
 
-#include <optional>
-
-#include "dtn/age_order.h"
 #include "dtn/router.h"
 
 namespace rapid {
@@ -14,23 +11,11 @@ class DirectRouter : public Router {
  public:
   DirectRouter(NodeId self, Bytes buffer_capacity, const SimContext* ctx);
 
-  bool on_generate(const Packet& p) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
 
-  // No state beyond the base router's; the age order is rebuilt from the
-  // restored buffer (it is canonical).
-  void load_state(BinReader& in) override;
-
  protected:
-  void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
-  void on_dropped(const Packet& p, Time now) override;
-  void on_acked(const Packet& p, Time now) override;
-
- private:
-  AgeOrder age_order_;  // own packets, oldest first, maintained across contacts
-  std::vector<PacketId> order_;
-  std::size_t cursor_ = 0;
+  // Own packets for the peer, oldest first; nothing is ever replicated.
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 };
 
 RouterFactory make_direct_factory(Bytes buffer_capacity);

@@ -18,22 +18,12 @@ void EpidemicRouter::note_arrival(PacketId id) {
 bool EpidemicRouter::on_generate(const Packet& p) {
   if (!Router::on_generate(p)) return false;
   note_arrival(p.id);
-  age_order_.insert(p.created, p.id);
   return true;
 }
 
 void EpidemicRouter::on_stored(const Packet& p, NodeId /*from*/, std::int64_t /*aux*/,
                                Time /*now*/) {
   note_arrival(p.id);
-  age_order_.insert(p.created, p.id);
-}
-
-void EpidemicRouter::on_dropped(const Packet& p, Time /*now*/) {
-  age_order_.remove(p.created, p.id);
-}
-
-void EpidemicRouter::on_acked(const Packet& p, Time /*now*/) {
-  age_order_.remove(p.created, p.id);
 }
 
 Bytes EpidemicRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_budget) {
@@ -42,37 +32,9 @@ Bytes EpidemicRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_b
   return 0;
 }
 
-void EpidemicRouter::build_plan(const PeerView& peer) {
-  mark_plan_built();
-  order_.clear();
-  cursor_ = 0;
-  // The maintained order is already oldest-first; one linear pass splits it
-  // into the destined-to-peer tier and the replication tier.
-  const auto& aged = age_order_.entries();
-  order_.reserve(aged.size());
-  for (const auto& [created, id] : aged)
-    if (ctx().packet(id).dst == peer.self()) order_.push_back(id);
-  for (const auto& [created, id] : aged)
-    if (ctx().packet(id).dst != peer.self()) order_.push_back(id);
-}
-
-std::optional<PacketId> EpidemicRouter::next_transfer(const ContactContext& contact,
-                                                      const PeerView& peer) {
-  if (!plan_current()) build_plan(peer);
-  while (cursor_ < order_.size()) {
-    const PacketId id = order_[cursor_];
-    ++cursor_;
-    if (!buffer().contains(id)) continue;
-    const Packet& p = ctx().packet(id);
-    if (p.dst == peer.self()) {
-      if (peer.has_received(id) || contact_skipped(id)) continue;
-    } else if (!peer_wants(peer, p)) {
-      continue;
-    }
-    if (p.size > contact.remaining) continue;
-    return id;
-  }
-  return std::nullopt;
+void EpidemicRouter::build_plan(const ContactContext& /*contact*/, const PeerView& peer) {
+  for (const auto& [created, id] : oldest_first())
+    (ctx().packet(id).dst == peer.self() ? plan().direct : plan().replicate).push_back(id);
 }
 
 void EpidemicRouter::on_transfer_success(const Packet& p, const PeerView& /*peer*/,
@@ -123,9 +85,6 @@ void EpidemicRouter::load_state(BinReader& in) {
     const PacketId id = static_cast<PacketId>(in.i64());
     grow_slot(arrival_, id, std::uint64_t{0}) = in.u64();
   }
-  age_order_.clear();
-  buffer().for_each(
-      [&](PacketId id, Bytes /*size*/) { age_order_.insert(ctx().packet(id).created, id); });
 }
 
 RouterFactory make_epidemic_factory(const EpidemicConfig& config, Bytes buffer_capacity) {

@@ -3,10 +3,8 @@
 // Included as the classical replication extreme (Table 1, problem P1).
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "dtn/age_order.h"
 #include "dtn/router.h"
 
 namespace rapid {
@@ -22,34 +20,26 @@ class EpidemicRouter : public Router {
 
   bool on_generate(const Packet& p) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
   void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
                            Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
 
-  // Snapshot/restore: arrival sequence numbers for the FIFO drop order; the
-  // age order is rebuilt from the restored buffer (it is canonical).
+  // Snapshot/restore: arrival sequence numbers for the FIFO drop order.
   void save_state(BinWriter& out) override;
   void load_state(BinReader& in) override;
 
  protected:
   void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
-  void on_dropped(const Packet& p, Time now) override;
-  void on_acked(const Packet& p, Time now) override;
+  // Every buffered packet, oldest first: those for the peer deliver, the
+  // rest replicate.
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 
  private:
   EpidemicConfig config_;
   std::uint64_t arrival_seq_ = 0;
   std::vector<std::uint64_t> arrival_;  // flat FIFO order for drops, by packet id
 
-  // Oldest-first candidate order, maintained across contacts (insert-sorted
-  // on admit, swap-removed on drop/ack) instead of re-sorted per contact.
-  AgeOrder age_order_;
-  std::vector<PacketId> order_;  // per-contact: destined-to-peer first, then rest
-  std::size_t cursor_ = 0;
-
   void note_arrival(PacketId id);
-  void build_plan(const PeerView& peer);
 };
 
 RouterFactory make_epidemic_factory(const EpidemicConfig& config, Bytes buffer_capacity);

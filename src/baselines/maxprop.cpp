@@ -177,41 +177,14 @@ const std::vector<PacketId>& MaxPropRouter::priority_order() const {
   return priority_cache_;
 }
 
-void MaxPropRouter::build_plan(const PeerView& peer) {
-  mark_plan_built();
-  direct_order_.clear();
-  direct_cursor_ = 0;
-  send_order_.clear();
-  send_cursor_ = 0;
-  for (PacketId id : priority_order()) {
-    (ctx().packet(id).dst == peer.self() ? direct_order_ : send_order_).push_back(id);
-  }
+void MaxPropRouter::build_plan(const ContactContext& /*contact*/, const PeerView& peer) {
+  std::vector<PacketId>& direct = plan().direct;
+  for (PacketId id : priority_order())
+    (ctx().packet(id).dst == peer.self() ? direct : plan().replicate).push_back(id);
   // Destined-to-peer packets go first regardless of section, oldest first.
-  std::sort(direct_order_.begin(), direct_order_.end(), [&](PacketId a, PacketId b) {
+  std::sort(direct.begin(), direct.end(), [&](PacketId a, PacketId b) {
     return ctx().packet(a).created < ctx().packet(b).created;
   });
-}
-
-std::optional<PacketId> MaxPropRouter::next_transfer(const ContactContext& contact,
-                                                     const PeerView& peer) {
-  if (!plan_current()) build_plan(peer);
-  while (direct_cursor_ < direct_order_.size()) {
-    const PacketId id = direct_order_[direct_cursor_];
-    ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
-    if (ctx().packet(id).size > contact.remaining) continue;
-    return id;
-  }
-  while (send_cursor_ < send_order_.size()) {
-    const PacketId id = send_order_[send_cursor_];
-    ++send_cursor_;
-    if (!buffer().contains(id)) continue;
-    const Packet& p = ctx().packet(id);
-    if (!peer_wants(peer, p)) continue;
-    if (p.size > contact.remaining) continue;
-    return id;
-  }
-  return std::nullopt;
 }
 
 std::int64_t MaxPropRouter::transfer_aux(const Packet& p, const PeerView& /*peer*/) {

@@ -19,7 +19,6 @@
 // whole buffer per drop. Hop counts live in a flat per-packet array.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "dtn/router.h"
@@ -40,8 +39,6 @@ class MaxPropRouter : public Router {
   bool on_generate(const Packet& p) override;
   void observe_opportunity(Bytes capacity, NodeId peer, Time now) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact,
-                                        const PeerView& peer) override;
   std::int64_t transfer_aux(const Packet& p, const PeerView& peer) override;
   void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
                            Time now) override;
@@ -62,6 +59,8 @@ class MaxPropRouter : public Router {
   void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
   void on_dropped(const Packet& p, Time now) override;
   void on_acked(const Packet& p, Time now) override;
+  // Packets for the peer oldest first; the rest in priority order.
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 
  private:
   MaxPropConfig config_;
@@ -79,16 +78,10 @@ class MaxPropRouter : public Router {
   mutable bool priority_dirty_ = true;
   mutable std::vector<PacketId> priority_cache_;
 
-  std::vector<PacketId> direct_order_;
-  std::size_t direct_cursor_ = 0;
-  std::vector<PacketId> send_order_;
-  std::size_t send_cursor_ = 0;
-
   void set_hops(PacketId id, int hops);
   void normalize_own();
   void recompute_costs() const;
   Bytes head_start_bytes() const;
-  void build_plan(const PeerView& peer);
   // Ordered buffer view: head-start section (hopcount asc) then cost asc.
   // Recomputed only when the dirty flag is set.
   const std::vector<PacketId>& priority_order() const;

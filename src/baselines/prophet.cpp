@@ -14,25 +14,6 @@ ProphetRouter::ProphetRouter(NodeId self, Bytes buffer_capacity, const SimContex
   p_.assign(static_cast<std::size_t>(ctx->num_nodes), 0.0);
 }
 
-bool ProphetRouter::on_generate(const Packet& p) {
-  if (!Router::on_generate(p)) return false;
-  age_order_.insert(p.created, p.id);
-  return true;
-}
-
-void ProphetRouter::on_stored(const Packet& p, NodeId /*from*/, std::int64_t /*aux*/,
-                              Time /*now*/) {
-  age_order_.insert(p.created, p.id);
-}
-
-void ProphetRouter::on_dropped(const Packet& p, Time /*now*/) {
-  age_order_.remove(p.created, p.id);
-}
-
-void ProphetRouter::on_acked(const Packet& p, Time /*now*/) {
-  age_order_.remove(p.created, p.id);
-}
-
 void ProphetRouter::age_to(Time now) const {
   if (now <= last_aged_) return;
   const double k = (now - last_aged_) / config_.aging_unit;
@@ -71,51 +52,25 @@ Bytes ProphetRouter::contact_begin(const PeerView& peer, Time now, Bytes meta_bu
   return std::min(cost, meta_budget);
 }
 
-void ProphetRouter::build_plan(const PeerView& peer, Time now) {
-  mark_plan_built();
-  direct_order_.clear();
-  direct_cursor_ = 0;
-  forward_order_.clear();
-  forward_cursor_ = 0;
+void ProphetRouter::build_plan(const ContactContext& contact, const PeerView& peer) {
   auto* prophet_peer = peer.as<ProphetRouter>();
-  // The maintained order is already oldest-first, so the direct tier is a
-  // plain filter; only the peer-dependent GRTR tier still sorts (and only
-  // over the packets it admits).
-  for (const auto& [created, id] : age_order_.entries()) {
+  forwards_.clear();
+  // The oldest-first order makes the direct tier a plain filter; only the
+  // peer-dependent GRTR tier sorts, and only over the packets it admits.
+  for (const auto& [created, id] : oldest_first()) {
     const Packet& p = ctx().packet(id);
     if (p.dst == peer.self()) {
-      direct_order_.push_back(id);
+      plan().direct.push_back(id);
       continue;
     }
     if (prophet_peer == nullptr) continue;
-    const double theirs = prophet_peer->predictability(p.dst, now);
-    const double ours = predictability(p.dst, now);
-    if (theirs > ours) forward_order_.emplace_back(theirs, id);  // GRTR
+    const double theirs = prophet_peer->predictability(p.dst, contact.now);
+    const double ours = predictability(p.dst, contact.now);
+    if (theirs > ours) forwards_.emplace_back(theirs, id);  // GRTR
   }
-  std::stable_sort(forward_order_.begin(), forward_order_.end(),
+  std::stable_sort(forwards_.begin(), forwards_.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-}
-
-std::optional<PacketId> ProphetRouter::next_transfer(const ContactContext& contact,
-                                                     const PeerView& peer) {
-  if (!plan_current()) build_plan(peer, contact.now);
-  while (direct_cursor_ < direct_order_.size()) {
-    const PacketId id = direct_order_[direct_cursor_];
-    ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
-    if (ctx().packet(id).size > contact.remaining) continue;
-    return id;
-  }
-  while (forward_cursor_ < forward_order_.size()) {
-    const PacketId id = forward_order_[forward_cursor_].second;
-    ++forward_cursor_;
-    if (!buffer().contains(id)) continue;
-    const Packet& p = ctx().packet(id);
-    if (!peer_wants(peer, p)) continue;
-    if (p.size > contact.remaining) continue;
-    return id;
-  }
-  return std::nullopt;
+  for (const auto& [theirs, id] : forwards_) plan().replicate.push_back(id);
 }
 
 PacketId ProphetRouter::choose_drop_victim(const Packet& /*incoming*/, Time now) {
@@ -145,9 +100,6 @@ void ProphetRouter::load_state(BinReader& in) {
   if (in.u64() != p_.size()) BinReader::fail("prophet vector size differs from the snapshot's");
   for (double& v : p_) v = in.f64();
   last_aged_ = in.f64();
-  age_order_.clear();
-  buffer().for_each(
-      [&](PacketId id, Bytes /*size*/) { age_order_.insert(ctx().packet(id).created, id); });
 }
 
 RouterFactory make_prophet_factory(const ProphetConfig& config, Bytes buffer_capacity) {

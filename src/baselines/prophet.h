@@ -10,10 +10,9 @@
 // first under storage pressure.
 #pragma once
 
-#include <optional>
+#include <utility>
 #include <vector>
 
-#include "dtn/age_order.h"
 #include "dtn/router.h"
 
 namespace rapid {
@@ -32,39 +31,28 @@ class ProphetRouter : public Router {
   ProphetRouter(NodeId self, Bytes buffer_capacity, const SimContext* ctx,
                 const ProphetConfig& config);
 
-  bool on_generate(const Packet& p) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
 
   // Aged predictability towards `dst` as of `now`.
   double predictability(NodeId dst, Time now) const;
 
-  // Snapshot/restore: predictability vector and its aging clock; the age
-  // order is rebuilt from the restored buffer (it is canonical).
+  // Snapshot/restore: predictability vector and its aging clock.
   void save_state(BinWriter& out) override;
   void load_state(BinReader& in) override;
 
  protected:
-  void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
-  void on_dropped(const Packet& p, Time now) override;
-  void on_acked(const Packet& p, Time now) override;
+  // Packets for the peer oldest first; then the GRTR forwards, highest peer
+  // predictability first (ties oldest first).
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 
  private:
   ProphetConfig config_;
   mutable std::vector<double> p_;   // predictabilities, aged lazily
   mutable Time last_aged_ = 0;
-
-  // Maintained oldest-first order; the direct tier filters it, the GRTR tier
-  // sorts only the admitted forwards (peer-dependent by definition).
-  AgeOrder age_order_;
-  std::vector<PacketId> direct_order_;
-  std::size_t direct_cursor_ = 0;
-  std::vector<std::pair<double, PacketId>> forward_order_;  // peer predictability desc
-  std::size_t forward_cursor_ = 0;
+  std::vector<std::pair<double, PacketId>> forwards_;  // build_plan scratch
 
   void age_to(Time now) const;
-  void build_plan(const PeerView& peer, Time now);
 };
 
 RouterFactory make_prophet_factory(const ProphetConfig& config, Bytes buffer_capacity);

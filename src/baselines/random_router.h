@@ -7,10 +7,6 @@
 // copies from buffers.
 #pragma once
 
-#include <optional>
-#include <vector>
-
-#include "dtn/age_order.h"
 #include "dtn/router.h"
 
 namespace rapid {
@@ -24,34 +20,18 @@ class RandomRouter : public Router {
   RandomRouter(NodeId self, Bytes buffer_capacity, const SimContext* ctx,
                const RandomConfig& config);
 
-  bool on_generate(const Packet& p) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
   void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
                            Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
 
-  // No state beyond the base router's; the age order is rebuilt from the
-  // restored buffer (it is canonical).
-  void load_state(BinReader& in) override;
-
  protected:
-  void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
-  void on_dropped(const Packet& p, Time now) override;
-  void on_acked(const Packet& p, Time now) override;
+  // Packets for the peer oldest first; the rest in a fresh uniformly random
+  // order each contact (the shuffle IS the protocol).
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 
  private:
   RandomConfig config_;
-  // Maintained oldest-first order: the direct tier reads it as-is; the
-  // replication tier shuffles a filtered copy (the shuffle IS the protocol,
-  // so that part stays per-contact).
-  AgeOrder age_order_;
-  std::vector<PacketId> direct_order_;
-  std::size_t direct_cursor_ = 0;
-  std::vector<PacketId> shuffled_;
-  std::size_t shuffle_cursor_ = 0;
-
-  void build_plan(const PeerView& peer);
 };
 
 RouterFactory make_random_factory(const RandomConfig& config, Bytes buffer_capacity);

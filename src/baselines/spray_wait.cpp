@@ -28,65 +28,29 @@ void SprayWaitRouter::set_copies(PacketId id, int copies) {
 bool SprayWaitRouter::on_generate(const Packet& p) {
   if (!Router::on_generate(p)) return false;
   set_copies(p.id, config_.initial_copies);
-  age_order_.insert(p.created, p.id);
   return true;
 }
 
 void SprayWaitRouter::on_stored(const Packet& p, NodeId /*from*/, std::int64_t aux,
                                 Time /*now*/) {
   set_copies(p.id, static_cast<int>(std::max<std::int64_t>(1, aux)));
-  age_order_.insert(p.created, p.id);
 }
 
-void SprayWaitRouter::on_dropped(const Packet& p, Time /*now*/) {
-  set_copies(p.id, 0);
-  age_order_.remove(p.created, p.id);
-}
+void SprayWaitRouter::on_dropped(const Packet& p, Time /*now*/) { set_copies(p.id, 0); }
 
-void SprayWaitRouter::on_acked(const Packet& p, Time /*now*/) {
-  set_copies(p.id, 0);
-  age_order_.remove(p.created, p.id);
-}
+void SprayWaitRouter::on_acked(const Packet& p, Time /*now*/) { set_copies(p.id, 0); }
 
-void SprayWaitRouter::build_plan(const PeerView& peer) {
-  mark_plan_built();
-  direct_order_.clear();
-  direct_cursor_ = 0;
-  spray_order_.clear();
-  spray_cursor_ = 0;
-  // One linear pass over the maintained oldest-first order; no per-contact
-  // sort.
-  for (const auto& [created, id] : age_order_.entries()) {
-    const Packet& p = ctx().packet(id);
-    if (p.dst == peer.self()) {
-      direct_order_.push_back(id);
+void SprayWaitRouter::build_plan(const ContactContext& /*contact*/, const PeerView& peer) {
+  for (const auto& [created, id] : oldest_first()) {
+    if (ctx().packet(id).dst == peer.self()) {
+      plan().direct.push_back(id);
     } else if (copies_of(id) > 1) {
-      spray_order_.push_back(id);  // wait phase (1 copy) never replicates
+      plan().replicate.push_back(id);  // wait phase (1 copy) never replicates
     }
   }
 }
 
-std::optional<PacketId> SprayWaitRouter::next_transfer(const ContactContext& contact,
-                                                       const PeerView& peer) {
-  if (!plan_current()) build_plan(peer);
-  while (direct_cursor_ < direct_order_.size()) {
-    const PacketId id = direct_order_[direct_cursor_];
-    ++direct_cursor_;
-    if (!buffer().contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
-    if (ctx().packet(id).size > contact.remaining) continue;
-    return id;
-  }
-  while (spray_cursor_ < spray_order_.size()) {
-    const PacketId id = spray_order_[spray_cursor_];
-    ++spray_cursor_;
-    if (!buffer().contains(id) || copies_of(id) <= 1) continue;
-    const Packet& p = ctx().packet(id);
-    if (!peer_wants(peer, p)) continue;
-    if (p.size > contact.remaining) continue;
-    return id;
-  }
-  return std::nullopt;
-}
+bool SprayWaitRouter::may_replicate(const Packet& p) const { return copies_of(p.id) > 1; }
 
 std::int64_t SprayWaitRouter::transfer_aux(const Packet& p, const PeerView& /*peer*/) {
   // Binary spray: hand over half the copies.
@@ -102,13 +66,7 @@ void SprayWaitRouter::on_transfer_success(const Packet& p, const PeerView& /*pee
 }
 
 PacketId SprayWaitRouter::choose_drop_victim(const Packet& /*incoming*/, Time /*now*/) {
-  // §6.3.2: "Spray and Wait and Random deletes packets randomly." Picks
-  // straight from the buffer's packed entry list — no snapshot allocation.
-  const Span<Buffer::Entry> entries = buffer().entries();
-  if (entries.empty()) return kNoPacket;
-  return entries[static_cast<std::size_t>(
-                     rng().uniform_int(0, static_cast<std::int64_t>(entries.size()) - 1))]
-      .id;
+  return random_victim();
 }
 
 void SprayWaitRouter::save_state(BinWriter& out) {
@@ -132,9 +90,6 @@ void SprayWaitRouter::load_state(BinReader& in) {
     const PacketId id = static_cast<PacketId>(in.i64());
     set_copies(id, static_cast<int>(in.i64()));
   }
-  age_order_.clear();
-  buffer().for_each(
-      [&](PacketId id, Bytes /*size*/) { age_order_.insert(ctx().packet(id).created, id); });
 }
 
 RouterFactory make_spray_wait_factory(const SprayWaitConfig& config, Bytes buffer_capacity) {

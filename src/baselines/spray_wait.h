@@ -5,10 +5,8 @@
 // a node holding a single copy waits to deliver it directly (wait).
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "dtn/age_order.h"
 #include "dtn/router.h"
 
 namespace rapid {
@@ -23,7 +21,6 @@ class SprayWaitRouter : public Router {
                   const SprayWaitConfig& config);
 
   bool on_generate(const Packet& p) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
   std::int64_t transfer_aux(const Packet& p, const PeerView& peer) override;
   void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
                            Time now) override;
@@ -31,8 +28,7 @@ class SprayWaitRouter : public Router {
 
   int copies_of(PacketId id) const;
 
-  // Snapshot/restore: logical copy counts; the age order is rebuilt from the
-  // restored buffer (it is canonical).
+  // Snapshot/restore: logical copy counts.
   void save_state(BinWriter& out) override;
   void load_state(BinReader& in) override;
 
@@ -40,21 +36,18 @@ class SprayWaitRouter : public Router {
   void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override;
   void on_dropped(const Packet& p, Time now) override;
   void on_acked(const Packet& p, Time now) override;
+  // Oldest first: packets for the peer deliver, packets with more than one
+  // copy spray; single copies wait.
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
+  // Re-checks the copy count: a packet evicted and received back during the
+  // contact returns with the copies the peer handed over, possibly one.
+  bool may_replicate(const Packet& p) const override;
 
  private:
   SprayWaitConfig config_;
   std::vector<std::int32_t> copies_;  // flat, by packet id; 0 = not tracked
 
-  // Oldest-first candidate order maintained across contacts; per-contact
-  // plans are linear filters over it (no re-sort).
-  AgeOrder age_order_;
-  std::vector<PacketId> direct_order_;
-  std::size_t direct_cursor_ = 0;
-  std::vector<PacketId> spray_order_;
-  std::size_t spray_cursor_ = 0;
-
   void set_copies(PacketId id, int copies);
-  void build_plan(const PeerView& peer);
 };
 
 RouterFactory make_spray_wait_factory(const SprayWaitConfig& config, Bytes buffer_capacity);

@@ -404,12 +404,7 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
   return finish();
 }
 
-void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerView& peer) {
-  mark_plan_built();
-  direct_order_.clear();
-  direct_cursor_ = 0;
-  replication_order_.clear();
-  replication_cursor_ = 0;
+void RapidRouter::build_plan(const ContactContext& contact, const PeerView& peer) {
   auto* rapid_peer = peer.as<RapidRouter>();
   const Time now = contact.now;
 
@@ -417,10 +412,10 @@ void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerVi
   // oldest-first for the delay metrics (the order the maintained
   // per-destination queue already holds), most-urgent-viable-first for the
   // deadline metric.
-  const auto& peer_queue = cache_.queue(peer.self());
-  for (const UtilityCache::QueueEntry& e : peer_queue) direct_order_.push_back(e.id);
+  std::vector<PacketId>& direct = plan().direct;
+  for (const UtilityCache::QueueEntry& e : cache_.queue(peer.self())) direct.push_back(e.id);
   if (config_.metric == RoutingMetric::kMissedDeadlines) {
-    std::stable_sort(direct_order_.begin(), direct_order_.end(),
+    std::stable_sort(direct.begin(), direct.end(),
                      [&](PacketId a, PacketId b) {
                        const Packet& pa = ctx().packet(a);
                        const Packet& pb = ctx().packet(b);
@@ -441,7 +436,7 @@ void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerVi
   // The expensive inputs of each score (rate sum, peer queue position) come
   // from the utility caches, so only packets whose inputs changed since the
   // last evaluation are recomputed.
-  replication_order_.reserve(buffer().count());
+  scored_.clear();
   std::vector<Candidate>& fallback = fallback_scratch_;
   fallback.clear();
   buffer().for_each([&](PacketId id, Bytes /*size*/) {
@@ -467,42 +462,16 @@ void RapidRouter::build_contact_plan(const ContactContext& contact, const PeerVi
     } else {
       c.score = marginal / static_cast<double>(p.size);
     }
-    replication_order_.push_back(c);
+    scored_.push_back(c);
   });
   const auto by_score_desc = [](const Candidate& a, const Candidate& b) {
     return a.score > b.score;
   };
-  std::stable_sort(replication_order_.begin(), replication_order_.end(), by_score_desc);
+  std::stable_sort(scored_.begin(), scored_.end(), by_score_desc);
   std::stable_sort(fallback.begin(), fallback.end(), by_score_desc);
-  replication_order_.insert(replication_order_.end(), fallback.begin(), fallback.end());
-}
-
-std::optional<PacketId> RapidRouter::next_transfer(const ContactContext& contact,
-                                                   const PeerView& peer) {
-  if (!plan_current()) build_contact_plan(contact, peer);
-
-  // Direct delivery first.
-  while (direct_cursor_ < direct_order_.size()) {
-    const PacketId id = direct_order_[direct_cursor_];
-    ++direct_cursor_;
-    if (!buffer().contains(id)) continue;
-    const Packet& p = ctx().packet(id);
-    if (peer.has_received(id) || contact_skipped(id)) continue;
-    if (p.size > contact.remaining) continue;
-    return id;
-  }
-
-  // Then replication in decreasing marginal utility per byte.
-  while (replication_cursor_ < replication_order_.size()) {
-    const Candidate c = replication_order_[replication_cursor_];
-    ++replication_cursor_;
-    if (!buffer().contains(c.id)) continue;  // dropped or acked mid-contact
-    const Packet& p = ctx().packet(c.id);
-    if (!peer_wants(peer, p)) continue;
-    if (p.size > contact.remaining) continue;
-    return c.id;
-  }
-  return std::nullopt;
+  std::vector<PacketId>& replicate = plan().replicate;
+  for (const Candidate& c : scored_) replicate.push_back(c.id);
+  for (const Candidate& c : fallback) replicate.push_back(c.id);
 }
 
 void RapidRouter::on_transfer_success(const Packet& p, const PeerView& peer,
@@ -530,12 +499,6 @@ void RapidRouter::on_transfer_success(const Packet& p, const PeerView& peer,
       }
     }
   }
-}
-
-void RapidRouter::contact_end(const PeerView& peer, Time now) {
-  Router::contact_end(peer, now);
-  direct_order_.clear();
-  replication_order_.clear();
 }
 
 void RapidRouter::flush_obs(obs::ObsContext& out) const {

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/control_channel.h"
@@ -85,11 +84,8 @@ class RapidRouter : public Router {
   bool on_generate(const Packet& p) override;
   void observe_opportunity(Bytes capacity, NodeId peer, Time now) override;
   Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget) override;
-  std::optional<PacketId> next_transfer(const ContactContext& contact,
-                                        const PeerView& peer) override;
   void on_transfer_success(const Packet& p, const PeerView& peer, ReceiveOutcome outcome,
                            Time now) override;
-  void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
   // Pushes the utility-cache probe counters (hits, recomputes, forgets,
   // tracked-packet high-water mark) and the meeting matrix's work probes
@@ -126,6 +122,10 @@ class RapidRouter : public Router {
   void on_dropped(const Packet& p, Time now) override;
   void on_acked(const Packet& p, Time now) override;
   void on_delivered_here(const Packet& p, Time now) override;
+  // Steps 2 and 3 of the contact, scored once per contact side: the
+  // candidate set is stable within a contact, and replicating a packet
+  // changes only that packet's utility, so one order stays work-conserving.
+  void build_plan(const ContactContext& contact, const PeerView& peer) override;
 
  private:
   struct Candidate {
@@ -170,16 +170,9 @@ class RapidRouter : public Router {
   // inference queries.
   mutable UtilityCache cache_;
 
-  // Per-contact cached orderings. The candidate set is stable within a
-  // contact, and replicating a packet changes only that packet's utility, so
-  // an order built once per contact stays work-conserving. Validity is
-  // tracked by the base Router's plan-cache helpers, which invalidate at
-  // every contact boundary.
-  std::vector<PacketId> direct_order_;
-  std::size_t direct_cursor_ = 0;
-  std::vector<Candidate> replication_order_;
-  std::size_t replication_cursor_ = 0;
-  std::vector<Candidate> fallback_scratch_;  // reused across plan builds
+  // build_plan's scored candidates, reused across contacts.
+  std::vector<Candidate> scored_;
+  std::vector<Candidate> fallback_scratch_;
 
   void queue_insert(const Packet& p);
   void queue_erase(const Packet& p);
@@ -196,7 +189,6 @@ class RapidRouter : public Router {
   UtilityCache::DelayInputs delay_inputs(const Packet& p) const;
 
   Bytes exchange_metadata(RapidRouter& peer, Time now, Bytes budget);
-  void build_contact_plan(const ContactContext& contact, const PeerView& peer);
   double marginal_for(const Packet& p, RapidRouter* rapid_peer, const PeerView& peer,
                       Time now) const;
   double utility_of(const Packet& p, Time now) const;

@@ -1,10 +1,10 @@
-// Incrementally maintained oldest-first transfer order for the baseline
-// routers.
+// Incrementally maintained oldest-first order of a router's buffer.
 //
-// Every baseline protocol (epidemic, prophet, spray&wait, maxprop's direct
-// tier, direct, random) wants its candidates oldest-created-first, and the
-// seed implementation rebuilt and re-sorted that order from the buffer hash
-// map at every contact. AgeOrder maintains it across contacts instead:
+// Direct, Epidemic, PRoPHET, Random and Spray and Wait plan their contacts
+// oldest-created-first. Rather than re-sorting the buffer at every contact,
+// the base Router keeps one AgeOrder in step with its own buffer mutations
+// (Router::oldest_first in dtn/router.h), from the first time a protocol
+// asks for it:
 //
 //   * admit    — insert-sorted into place (binary search + shift) while the
 //                order is clean, plain append once it is dirty;

@@ -10,7 +10,8 @@
 // O(1) (erase is swap-with-last), and iteration walks the packed entries —
 // contiguous memory, no buckets, no per-node allocation. The packed order is
 // insertion order perturbed by swap-erase; protocols that need a specific
-// order sort the ids themselves (see dtn/age_order.h).
+// order sort the ids themselves, and the oldest-first order is kept once, by
+// Router::oldest_first (dtn/router.h).
 #pragma once
 
 #include <cstddef>

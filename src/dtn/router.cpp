@@ -74,6 +74,36 @@ ReceiveOutcome Router::receive_copy(const Packet& p, const PeerView& from, std::
   return ReceiveOutcome::kStored;
 }
 
+std::optional<PacketId> Router::next_transfer(const ContactContext& contact,
+                                              const PeerView& peer) {
+  if (!plan_built_) {
+    plan_built_ = true;
+    plan_.direct.clear();
+    plan_.replicate.clear();
+    direct_next_ = 0;
+    replicate_next_ = 0;
+    build_plan(contact, peer);
+  }
+  while (direct_next_ < plan_.direct.size()) {
+    const PacketId id = plan_.direct[direct_next_++];
+    if (!buffer_.contains(id) || peer.has_received(id) || contact_skipped(id)) continue;
+    if (ctx_->packet(id).size > contact.remaining) continue;
+    return id;
+  }
+  while (replicate_next_ < plan_.replicate.size()) {
+    const PacketId id = plan_.replicate[replicate_next_++];
+    if (!buffer_.contains(id)) continue;  // dropped or acked mid-contact
+    const Packet& p = ctx_->packet(id);
+    if (!peer_wants(peer, p) || p.size > contact.remaining || !may_replicate(p)) continue;
+    return id;
+  }
+  return std::nullopt;
+}
+
+void Router::build_plan(const ContactContext& /*contact*/, const PeerView& /*peer*/) {}
+
+bool Router::may_replicate(const Packet& /*p*/) const { return true; }
+
 void Router::contact_end(const PeerView& /*peer*/, Time /*now*/) {
   // Bump again so marks set during the contact go stale immediately.
   ++epoch_;
@@ -94,10 +124,11 @@ bool Router::peer_wants(const PeerView& peer, const Packet& p) const {
 
 void Router::learn_ack(PacketId id, Time when) {
   if (!acked_.insert(id, when)) return;
-  if (buffer_.erase(id)) {
+  const Packet& p = ctx_->pool->get(id);
+  if (buffer_erase(p)) {
     if (MetricsCollector* metrics = metrics_sink(ctx_)) metrics->record_ack_purge(self_);
   }
-  on_acked(ctx_->pool->get(id), when);
+  on_acked(p, when);
 }
 
 Bytes Router::exchange_acks(const PeerView& peer, Time now) {
@@ -124,20 +155,52 @@ Bytes Router::exchange_acks(const PeerView& peer, Time now) {
 }
 
 bool Router::store_with_eviction(const Packet& p, Time now) {
-  if (buffer_.insert(p.id, p.size)) return true;
+  if (buffer_insert(p)) return true;
   if (buffer_.capacity() >= 0 && p.size > buffer_.capacity()) return false;
   while (!buffer_.fits(p.size)) {
     const PacketId victim = choose_drop_victim(p, now);
     if (victim == kNoPacket) return false;
-    const Packet& vp = ctx_->pool->get(victim);
-    buffer_.erase(victim);
-    ++drops_;
-    if (MetricsCollector* metrics = metrics_sink(ctx_)) metrics->record_drop(self_);
-    RAPID_OBS_INC(kRouterDrops);
-    RAPID_OBS_TRACE(kPacketDrop, now, self_, kNoNode, vp.id, vp.size);
-    on_dropped(vp, now);
+    drop(ctx_->pool->get(victim), now);
   }
-  return buffer_.insert(p.id, p.size);
+  return buffer_insert(p);
+}
+
+bool Router::buffer_insert(const Packet& p) {
+  if (!buffer_.insert(p.id, p.size)) return false;
+  if (age_tracked_) age_order_.insert(p.created, p.id);
+  return true;
+}
+
+bool Router::buffer_erase(const Packet& p) {
+  if (!buffer_.erase(p.id)) return false;
+  if (age_tracked_) age_order_.remove(p.created, p.id);
+  return true;
+}
+
+void Router::drop(const Packet& p, Time now) {
+  buffer_erase(p);
+  ++drops_;
+  if (MetricsCollector* metrics = metrics_sink(ctx_)) metrics->record_drop(self_);
+  RAPID_OBS_INC(kRouterDrops);
+  RAPID_OBS_TRACE(kPacketDrop, now, self_, kNoNode, p.id, p.size);
+  on_dropped(p, now);
+}
+
+const std::vector<std::pair<Time, PacketId>>& Router::oldest_first() {
+  if (!age_tracked_) {
+    age_tracked_ = true;
+    for (const Buffer::Entry& e : buffer_.entries())
+      age_order_.insert(ctx_->packet(e.id).created, e.id);
+  }
+  return age_order_.entries();
+}
+
+PacketId Router::random_victim() {
+  const Span<Buffer::Entry> entries = buffer_.entries();
+  if (entries.empty()) return kNoPacket;
+  return entries[static_cast<std::size_t>(
+                     rng_.uniform_int(0, static_cast<std::int64_t>(entries.size()) - 1))]
+      .id;
 }
 
 void Router::on_crash(bool drop_buffers, Time now) {
@@ -145,16 +208,7 @@ void Router::on_crash(bool drop_buffers, Time now) {
   // Drain back-to-front (erase of the last packed entry never swaps), firing
   // the exact per-drop accounting the eviction path fires, so a crash is
   // indistinguishable from a burst of drops to every downstream consumer.
-  while (!buffer_.empty()) {
-    const PacketId victim = buffer_.entries()[buffer_.count() - 1].id;
-    const Packet& vp = ctx_->pool->get(victim);
-    buffer_.erase(victim);
-    ++drops_;
-    if (MetricsCollector* metrics = metrics_sink(ctx_)) metrics->record_drop(self_);
-    RAPID_OBS_INC(kRouterDrops);
-    RAPID_OBS_TRACE(kPacketDrop, now, self_, kNoNode, vp.id, vp.size);
-    on_dropped(vp, now);
-  }
+  while (!buffer_.empty()) drop(ctx_->pool->get(buffer_.entries()[buffer_.count() - 1].id), now);
 }
 
 void Router::flush_obs(obs::ObsContext& /*out*/) const {}
@@ -191,6 +245,8 @@ void Router::load_state(BinReader& in) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = in.u64();
   rng_.set_state(rng_state);
+  age_order_.clear();
+  age_tracked_ = false;
   const std::uint64_t buffered = in.u64();
   for (std::uint64_t i = 0; i < buffered; ++i) {
     const PacketId id = static_cast<PacketId>(in.i64());

@@ -7,8 +7,11 @@
 //   1. contact_begin on both sides — metadata / ack exchange, charged against
 //      the transfer opportunity;
 //   2. alternating next_transfer calls — each returns the packet that side
-//      wants to replicate (or deliver) next, recomputed per call so that
-//      utility-driven protocols stay work-conserving;
+//      wants to deliver or replicate next. The base class walks a two-tier
+//      contact plan: packets destined to the peer first, then replicas. The
+//      protocol only fills the tiers, once per contact side, in build_plan;
+//      the walk re-checks every id against the live buffer, the peer and the
+//      remaining budget, so the plan stays valid while the contact runs;
 //   3. receive_copy on the receiving side — enforces storage by asking the
 //      protocol for drop victims;
 //   4. contact_end on both sides.
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "dtn/ack_table.h"
+#include "dtn/age_order.h"
 #include "dtn/buffer.h"
 #include "dtn/packet.h"
 #include "dtn/schedule.h"
@@ -175,10 +179,15 @@ class Router {
   virtual Bytes contact_begin(const PeerView& peer, Time now, Bytes meta_budget);
 
   // The next packet this side wants to push to `peer`, or nullopt when done.
-  // Must not return packets in the contact's skip set; must re-evaluate
-  // utilities on every call (work conservation).
+  // The first call of each contact side has build_plan fill the two tiers.
+  // The walk then returns the next direct-tier id that is buffered, not yet
+  // received by the peer, not skipped and fits `contact.remaining`; once
+  // that tier is spent, the next replicate-tier id that is buffered, that
+  // peer_wants, that fits and that may_replicate allows. A protocol whose
+  // plan has another shape (the offline Optimal schedule) overrides this;
+  // an override must not return packets in the contact's skip set.
   virtual std::optional<PacketId> next_transfer(const ContactContext& contact,
-                                                const PeerView& peer) = 0;
+                                                const PeerView& peer);
 
   // Sender-side notification after a successful transfer.
   virtual void on_transfer_success(const Packet& p, const PeerView& peer,
@@ -223,11 +232,13 @@ class Router {
   // Serializes the behaviorally significant state (buffer in packed order,
   // delivery receipts, ack table in insertion order, drop count, RNG state);
   // protocol subclasses extend with their own state. Called only between
-  // events (no open contact), so per-contact plan caches and
-  // epoch-stamped skip marks — stale by design between contacts — are not
-  // serialized and restore cold. save_state must not perturb behavior:
-  // restored-and-continued runs are bit-identical to uninterrupted ones
-  // (the snapshot tests enforce this across every protocol).
+  // events (no open contact), so the contact plan and the epoch-stamped
+  // skip marks — stale by design between contacts — are not serialized and
+  // restore cold. The oldest-first order is canonical: load_state drops it
+  // and the next oldest_first() rebuilds it from the restored buffer.
+  // save_state must not perturb behavior: restored-and-continued runs are
+  // bit-identical to uninterrupted ones (the snapshot tests enforce this
+  // across every protocol).
   virtual void save_state(BinWriter& out);
   // Restores into a freshly constructed router (same factory, same ctx).
   virtual void load_state(BinReader& in);
@@ -271,12 +282,33 @@ class Router {
   virtual void on_acked(const Packet& p, Time now);
   virtual void on_delivered_here(const Packet& p, Time now);
 
-  // Per-contact plan-cache bookkeeping shared by the protocol
-  // implementations: a cached transmission plan is valid for the rest of the
-  // open contact. The base contact_begin/contact_end invalidate it; protocols
-  // call mark_plan_built after building and plan_current before using.
-  bool plan_current() const { return plan_built_; }
-  void mark_plan_built() { plan_built_ = true; }
+  // The contact plan next_transfer walks: ids for the peer itself (it is
+  // their destination), then ids to replicate to it, each tier in the
+  // protocol's order.
+  struct ContactPlan {
+    std::vector<PacketId> direct;
+    std::vector<PacketId> replicate;
+  };
+  // Fills plan() for the open contact side. Called once per contact side,
+  // by the first next_transfer, with both tiers empty. Ids may go stale as
+  // the contact runs; the walk skips them. Default: nothing to send.
+  virtual void build_plan(const ContactContext& contact, const PeerView& peer);
+  ContactPlan& plan() { return plan_; }
+  // Last replicate-tier check, made when the walk is about to offer `p`:
+  // false vetoes the copy. For per-copy state that can change after the
+  // plan was built but before the walk reaches the packet. Default: true.
+  virtual bool may_replicate(const Packet& p) const;
+
+  // The buffered packets in (created, id) ascending order. The first call
+  // builds the order from the buffer; from then on the base class keeps it
+  // in step with every store, eviction, ack purge and crash, so protocols
+  // that never ask pay nothing. Edits made straight through buffer() bypass
+  // it.
+  const std::vector<std::pair<Time, PacketId>>& oldest_first();
+
+  // A uniformly drawn buffered packet, or kNoPacket when the buffer is
+  // empty (§6.3.2: "Spray and Wait and Random deletes packets randomly").
+  PacketId random_victim();
 
   // The shared contact-processing scratch (SimContext's when provided, a
   // private one otherwise). Borrow, use, leave the capacity behind.
@@ -288,6 +320,12 @@ class Router {
   friend class PeerView;
 
   void mark_skipped(PacketId id);
+  // Buffer insert/erase that keep the oldest-first order, once tracked, in
+  // step; false when nothing changed.
+  bool buffer_insert(const Packet& p);
+  bool buffer_erase(const Packet& p);
+  // Evicts a buffered packet with the full drop accounting.
+  void drop(const Packet& p, Time now);
 
   NodeId self_;
   Buffer buffer_;
@@ -299,7 +337,12 @@ class Router {
   // zero-initialised marks are never live.
   std::vector<std::uint32_t> skip_epoch_;
   std::uint32_t epoch_ = 1;
-  bool plan_built_ = false;
+  bool plan_built_ = false;   // plan_ belongs to the open contact side
+  bool age_tracked_ = false;  // age_order_ mirrors the buffer
+  ContactPlan plan_;
+  std::uint32_t direct_next_ = 0;  // walk positions in plan_'s tiers
+  std::uint32_t replicate_next_ = 0;
+  AgeOrder age_order_;
   std::size_t drops_ = 0;
   mutable std::unique_ptr<ScratchArena> own_arena_;  // fallback when ctx has none
 };

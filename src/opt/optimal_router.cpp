@@ -30,12 +30,6 @@ std::optional<PacketId> OptimalRouter::next_transfer(const ContactContext& conta
   return std::nullopt;
 }
 
-void OptimalRouter::contact_end(const PeerView& peer, Time now) {
-  Router::contact_end(peer, now);
-  // cursor_ intentionally kept: both directions share the per-meeting list,
-  // but each router instance tracks its own position.
-}
-
 PacketId OptimalRouter::choose_drop_victim(const Packet& /*incoming*/, Time /*now*/) {
   // The offline plan is computed for unconstrained storage (the paper's ILP
   // has no storage constraint); never evict.

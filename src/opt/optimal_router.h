@@ -17,11 +17,12 @@ class OptimalRouter : public Router {
                 std::shared_ptr<const OptimalPlan> plan);
 
   std::optional<PacketId> next_transfer(const ContactContext& contact, const PeerView& peer) override;
-  void contact_end(const PeerView& peer, Time now) override;
   PacketId choose_drop_victim(const Packet& incoming, Time now) override;
 
  private:
   std::shared_ptr<const OptimalPlan> plan_;
+  // Both directions share the per-meeting transfer list; each router keeps
+  // its own position in it, reset when a new meeting starts.
   int active_meeting_ = -1;
   std::size_t cursor_ = 0;
 };

@@ -104,6 +104,28 @@ TEST_F(BaselinesTest, SprayWaitTokensHalveDownToWait) {
   EXPECT_FALSE(router(5).buffer().contains(id));
 }
 
+TEST_F(BaselinesTest, SprayWaitRechecksCopiesAsTheWalkReachesAPacket) {
+  // The plan is built at a contact's first offer. A packet lost and received
+  // back later in the same contact returns with the copies its sender handed
+  // over; with one copy it must wait, although the plan listed it for
+  // spraying. (A crash stands in for the eviction that loses it in a run.)
+  init(4, ProtocolKind::kSprayWait);
+  const PacketId first = make_packet(0, 3, 0.0);
+  const PacketId later = make_packet(0, 3, 1.0);
+  router(0).on_generate(pool_.get(first));
+  router(0).on_generate(pool_.get(later));
+  const PeerView peer(router(1));
+  router(0).contact_begin(peer, 10.0, 0);
+  const ContactContext contact{10.0, 100_KB, 0};
+  EXPECT_EQ(router(0).next_transfer(contact, peer).value_or(kNoPacket), first);
+  router(0).on_crash(/*drop_buffers=*/true, 10.0);
+  ASSERT_EQ(router(0).receive_copy(pool_.get(later), peer, /*aux=*/1, 10.0),
+            ReceiveOutcome::kStored);
+  EXPECT_EQ(dynamic_cast<SprayWaitRouter&>(router(0)).copies_of(later), 1);
+  EXPECT_FALSE(router(0).next_transfer(contact, peer).has_value());
+  router(0).contact_end(peer, 10.0);
+}
+
 // --- PRoPHET ------------------------------------------------------------------
 
 TEST_F(BaselinesTest, ProphetDirectEncounterRaisesPredictability) {

@@ -2,13 +2,15 @@
 // invariant, swap-erase order independence, for_each vs packet_ids
 // agreement), the epoch-stamped skip marks (O(1) reset across contacts),
 // the incrementally maintained
-// AgeOrder, the GlobalChannel span regression, and the enforced >= 2x
+// AgeOrder and the Router's oldest-first order built on it, the
+// GlobalChannel span regression, and the enforced >= 2x
 // speedup of the flat tables over the legacy hash-map shims they replaced
 // (tests/support/legacy_map_shim.h, kept for exactly this PR).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <vector>
 
 #include "core/control_channel.h"
@@ -17,6 +19,7 @@
 #include "dtn/packet.h"
 #include "dtn/router.h"
 #include "support/legacy_map_shim.h"
+#include "util/binio.h"
 
 namespace rapid {
 namespace {
@@ -165,6 +168,82 @@ TEST(AgeOrder, SwapRemoveMarksDirtyAndResortsLazily) {
   EXPECT_FALSE(order.dirty());
   EXPECT_TRUE(std::is_sorted(e.begin(), e.end()));
   EXPECT_EQ(e.size(), 9u);
+}
+
+// --- Router's shared oldest-first order ---------------------------------------
+
+// Exposes the base class's order. Evicts the highest buffered id, which is
+// not the newest packet here, so eviction removes from inside the order.
+class AgeProbeRouter : public Router {
+ public:
+  using Router::learn_ack;
+  using Router::oldest_first;
+  using Router::Router;
+  PacketId choose_drop_victim(const Packet&, Time) override {
+    PacketId victim = kNoPacket;
+    buffer().for_each([&](PacketId id, Bytes) { victim = std::max(victim, id); });
+    return victim;
+  }
+};
+
+std::vector<std::pair<Time, PacketId>> sorted_buffer(const Router& router,
+                                                     const PacketPool& pool) {
+  std::vector<std::pair<Time, PacketId>> out;
+  router.buffer().for_each([&](PacketId id, Bytes) { out.emplace_back(pool.get(id).created, id); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RouterOldestFirst, FollowsEveryBufferMutationAndRestore) {
+  PacketPool pool;
+  for (int i = 0; i < 12; ++i) {
+    Packet p;
+    p.src = 0;
+    p.dst = 3;
+    p.size = 1_KB;
+    p.created = static_cast<Time>((i * 5) % 7);  // not id order; some ties
+    pool.add(p);
+  }
+  SimContext ctx;
+  ctx.pool = &pool;
+  ctx.num_nodes = 4;
+  AgeProbeRouter router(0, 4_KB, &ctx);
+  AgeProbeRouter peer(1, Bytes{-1}, &ctx);
+  const auto expect_in_step = [&](const char* after) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(router.oldest_first(), sorted_buffer(router, pool));
+  };
+
+  ASSERT_TRUE(router.on_generate(pool.get(0)));
+  ASSERT_TRUE(router.on_generate(pool.get(1)));
+  expect_in_step("first read builds from the buffer");
+  ASSERT_TRUE(router.on_generate(pool.get(2)));
+  ASSERT_EQ(router.receive_copy(pool.get(3), PeerView(peer), 0, 5.0), ReceiveOutcome::kStored);
+  expect_in_step("generate and receive");
+  ASSERT_EQ(router.receive_copy(pool.get(4), PeerView(peer), 0, 6.0), ReceiveOutcome::kStored);
+  EXPECT_EQ(router.drops(), 1u);
+  EXPECT_FALSE(router.buffer().contains(3));
+  expect_in_step("eviction");
+  router.learn_ack(1, 7.0);
+  EXPECT_FALSE(router.buffer().contains(1));
+  expect_in_step("ack purge of a buffered packet");
+  router.learn_ack(9, 8.0);
+  expect_in_step("ack of an unbuffered packet");
+  router.on_crash(true, 9.0);
+  EXPECT_TRUE(router.buffer().empty());
+  expect_in_step("crash");
+  for (PacketId id : {5, 6, 7, 8}) ASSERT_TRUE(router.on_generate(pool.get(id)));
+  expect_in_step("generate after the crash");
+
+  std::stringstream bytes;
+  BinWriter writer(bytes);
+  router.save_state(writer);
+  AgeProbeRouter restored(0, 4_KB, &ctx);
+  BinReader reader(bytes);
+  restored.load_state(reader);
+  EXPECT_EQ(restored.oldest_first(), sorted_buffer(restored, pool));
+  EXPECT_EQ(restored.oldest_first(), router.oldest_first());
+  EXPECT_EQ(restored.oldest_first().size(), 4u);
 }
 
 // --- GlobalChannel span regression --------------------------------------------
