@@ -139,9 +139,9 @@ BENCHMARK(BM_SimplexSolve)->Arg(20)->Arg(60);
 
 // Standalone RAPID router with `num_packets` buffered packets, each known to
 // be held by twelve peers as well (the replication regime the paper's loaded
-// runs reach, where the per-packet replica-list scan hurts). The regression
-// pair for the hoisted/memoized replica_rate scan: cached steady-state
-// lookups must stay O(1) per packet regardless of replica-list length.
+// runs reach, where the per-packet replica-list scan hurts). Steady-state
+// lookups hit the replica-rate memo, so each costs the self-delay gather and
+// one key compare, not a replica-list scan.
 struct ReplicaRateFixture {
   static constexpr int kNodes = 40;
   static constexpr NodeId kPeers = 13;  // routers 1..12 hold replicas too
@@ -152,14 +152,13 @@ struct ReplicaRateFixture {
   std::vector<std::unique_ptr<RapidRouter>> routers;
   std::vector<PacketId> ids;
 
-  ReplicaRateFixture(int num_packets, bool cached) {
+  explicit ReplicaRateFixture(int num_packets) {
     ctx.pool = &pool;
     ctx.metrics = &metrics;
     ctx.oracle = &oracle;
     ctx.num_nodes = kNodes;
     oracle.reset(kNodes);
-    RapidConfig config;
-    config.use_utility_cache = cached;
+    const RapidConfig config;
     for (NodeId n = 0; n < kPeers; ++n) {
       routers.push_back(std::make_unique<RapidRouter>(n, Bytes{-1}, &ctx, config));
       oracle.set(n, routers.back().get());
@@ -184,8 +183,7 @@ struct ReplicaRateFixture {
 };
 
 void BM_ReplicaRate(benchmark::State& state) {
-  // Arg0 = buffered packets, Arg1 = cache enabled.
-  ReplicaRateFixture fixture(static_cast<int>(state.range(0)), state.range(1) != 0);
+  ReplicaRateFixture fixture(static_cast<int>(state.range(0)));
   double sink = 0;
   for (auto _ : state) {
     for (const PacketId id : fixture.ids)
@@ -197,25 +195,16 @@ void BM_ReplicaRate(benchmark::State& state) {
   state.counters["rate_hits"] = static_cast<double>(stats.rate_hits);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(fixture.ids.size()));
 }
-BENCHMARK(BM_ReplicaRate)
-    ->ArgNames({"packets", "cached"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_ReplicaRate)->ArgNames({"packets"})->Arg(1000)->Arg(10000);
 
-// The headline comparison behind the incremental utility engine: one full
-// RAPID run of the registered powerlaw-large scenario (500 nodes, >= 10k
-// packets at load 3) with the cache off vs on. The figures are bit-identical
-// (asserted by the dual-path tests); what changes is the `recomputes`
-// counter — the cached run must come in >= 3x below the eager run.
+// One full RAPID run of the registered powerlaw-large scenario (500 nodes,
+// >= 10k packets at load 3), reporting the replica-rate memo's hits and
+// recomputes (UtilityCacheSavings asserts lookups >= 3x recomputes).
 void BM_PowerlawLargeRapid(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
   const Scenario scenario(runner::ScenarioRegistry::global().make("powerlaw-large"));
   const Instance inst = scenario.instance(0, 3.0);
   RunSpec spec;
   spec.protocol = ProtocolKind::kRapid;
-  spec.rapid_incremental_cache = cached;
 
   SimResult r;
   for (auto _ : state) {
@@ -226,19 +215,13 @@ void BM_PowerlawLargeRapid(benchmark::State& state) {
   const auto counter = [&](const char* name) {
     return static_cast<double>(r.obs->metrics.value(name));
   };
-  const double recomputes =
-      counter("utility.delay_recomputes") + counter("utility.rate_recomputes");
   state.counters["packets"] = static_cast<double>(inst.workload.size());
   state.counters["meetings"] = static_cast<double>(inst.schedule.size());
   state.counters["delivered"] = static_cast<double>(r.delivered);
-  state.counters["recomputes"] = recomputes;
-  state.counters["lookups"] =
-      recomputes + counter("utility.delay_hits") + counter("utility.rate_hits");
+  state.counters["rate_hits"] = counter("utility.rate_hits");
+  state.counters["rate_recomputes"] = counter("utility.rate_recomputes");
 }
 BENCHMARK(BM_PowerlawLargeRapid)
-    ->ArgNames({"cached"})
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -18,8 +18,9 @@
 // Contract: everything here is pure arithmetic on its arguments — the
 // rate-domain quantities these functions produce are exactly the A(i) and
 // P(a(i) < t) terms the utility layer (core/utility.h) substitutes into
-// Eqs. 1-3, and the router memoizes their expensive inputs in
-// core/utility_cache.h rather than inside this module.
+// Eqs. 1-3. The router calls meetings_needed/direct_delivery_delay afresh
+// for every d_j (one division and one multiply); only the replica-rate sum
+// over d_j is memoized, in core/utility_cache.h.
 #pragma once
 
 #include <unordered_map>

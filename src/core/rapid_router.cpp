@@ -80,81 +80,57 @@ Bytes RapidRouter::expected_opportunity(NodeId peer) const {
   return config_.prior_opportunity_bytes;
 }
 
-UtilityCache::DelayInputs RapidRouter::delay_inputs(const Packet& p) const {
+RapidRouter::DelayInputs RapidRouter::delay_inputs(const Packet& p) const {
   // The three inputs of Algorithm 2, read back cheaply: queue prefix in
   // O(log n) from the flat storage, opportunity average and memoized h-hop
   // meeting time in O(1).
-  return UtilityCache::DelayInputs{
+  return DelayInputs{
       cache_.queue_bytes_before(p.dst, UtilityCache::QueueEntry{p.created, p.id, p.size}),
       expected_opportunity(p.dst), effective_meeting_time(p.dst)};
 }
 
+double RapidRouter::direct_delay_at(const Packet& p, const DelayInputs& inputs) {
+  return direct_delivery_delay(meetings_needed(inputs.bytes_ahead, p.size, inputs.opportunity),
+                               inputs.meeting_time);
+}
+
 double RapidRouter::direct_delay(const Packet& p) const {
-  // Algorithm 2: position the packet holds (or would take) in this node's
-  // destination queue — insertion by age keeps the delivered-oldest-first
-  // order, so the computation is identical whether or not p is stored here.
   return direct_delay_at(p, delay_inputs(p));
 }
 
-double RapidRouter::direct_delay_at(const Packet& p,
-                                    const UtilityCache::DelayInputs& inputs) const {
-  const auto compute = [&] {
-    const std::size_t n = meetings_needed(inputs.bytes_ahead, p.size, inputs.opportunity);
-    return direct_delivery_delay(n, inputs.meeting_time);
-  };
-  if (!config_.use_utility_cache) {
-    cache_.note_eager_delay();
-    return compute();
-  }
-  return cache_.direct_delay(p.id, inputs, compute);
-}
-
-double RapidRouter::self_direct_delay(const Packet& p) const { return direct_delay(p); }
-
-double RapidRouter::direct_delay_if_stored(const Packet& p) const { return direct_delay(p); }
-
 double RapidRouter::replica_rate(const Packet& p) const {
   if (config_.control == ControlChannelMode::kGlobalOracle) {
-    // True global state: depends on other nodes' queues, which this node's
-    // generation counters cannot see — always evaluated fresh (each holder's
-    // own delay estimate still comes from that holder's cache).
-    cache_.note_eager_rate();
-    double rate = 0;
-    for (NodeId holder : global_->holders(p.id)) {
-      const Router* r = ctx().oracle->at(holder);
-      const auto* rr = dynamic_cast<const RapidRouter*>(r);
-      if (rr == nullptr) continue;
-      const double d = rr->self_direct_delay(p);
-      if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
-    }
-    return rate;
+    // True global state: depends on other nodes' queues, which no key of
+    // this node's memo can see — always evaluated fresh.
+    return cache_.uncached_rate([&] {
+      double rate = 0;
+      for (NodeId holder : global_->holders(p.id)) {
+        const Router* r = ctx().oracle->at(holder);
+        const auto* rr = dynamic_cast<const RapidRouter*>(r);
+        if (rr == nullptr) continue;
+        const double d = rr->direct_delay(p);
+        if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
+      }
+      return rate;
+    });
   }
 
-  // The self term's Algorithm-2 inputs are gathered once: they key the
-  // cached rate and feed the self delay it embeds.
+  // The fresh self term keys the memo; a packet this node does not hold has
+  // none and gathers no delay inputs. The sum adds the self term first, then
+  // the replicas in record order.
   const bool in_buffer = buffer().contains(p.id);
-  UtilityCache::DelayInputs inputs;
-  const auto compute = [&] {
-    double rate = 0;
-    if (in_buffer) {
-      const double d = direct_delay_at(p, inputs);
-      if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
-    }
-    for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
-      if (est.holder == self()) continue;  // always use the fresh self term
-      if (est.direct_delay > 0 && est.direct_delay != kTimeInfinity)
-        rate += 1.0 / est.direct_delay;
-    }
-    return rate;
-  };
-  if (!config_.use_utility_cache) {
-    cache_.note_eager_rate();
-    if (in_buffer) inputs = delay_inputs(p);
-    return compute();
-  }
-  inputs = delay_inputs(p);
-  return cache_.rate(p.id, UtilityCache::RateInputs{inputs, meta_.generation(p.id), in_buffer},
-                     compute);
+  const double self_delay = in_buffer ? direct_delay(p) : 0;
+  return cache_.rate(
+      p.id, UtilityCache::RateInputs{self_delay, meta_.generation(p.id), in_buffer}, [&] {
+        double rate = 0;
+        if (self_delay > 0 && self_delay != kTimeInfinity) rate += 1.0 / self_delay;
+        for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
+          if (est.holder == self()) continue;  // always use the fresh self term
+          if (est.direct_delay > 0 && est.direct_delay != kTimeInfinity)
+            rate += 1.0 / est.direct_delay;
+        }
+        return rate;
+      });
 }
 
 double RapidRouter::expected_total_delay_of(const Packet& p, Time now) const {
@@ -164,13 +140,11 @@ double RapidRouter::expected_total_delay_of(const Packet& p, Time now) const {
 double RapidRouter::utility_of(const Packet& p, Time now) const {
 #if RAPID_OBS_ENABLED
   // Utility-recompute trace events: the cache decides hit-vs-recompute
-  // internally, so a traced run watches its per-cache stats across the
-  // evaluation and emits one event per estimator that had to recompute
-  // (value 0 = delay path, 1 = rate path). Two counter reads when tracing;
-  // nothing otherwise.
+  // internally, so a traced run watches its rate-recompute count across the
+  // evaluation and emits one event (value 1) when the sum was recomputed.
+  // One counter read when tracing; nothing otherwise.
   obs::ObsContext* obs_ctx = obs::current();
   const bool traced = obs_ctx != nullptr && obs_ctx->trace.enabled();
-  const std::uint64_t delay_before = traced ? cache_.stats().delay_recomputes : 0;
   const std::uint64_t rate_before = traced ? cache_.stats().rate_recomputes : 0;
 #endif
   const double utility =
@@ -178,15 +152,8 @@ double RapidRouter::utility_of(const Packet& p, Time now) const {
                      p.deadline == kTimeInfinity ? kTimeInfinity : p.deadline - now,
                      config_.utility);
 #if RAPID_OBS_ENABLED
-  if (traced) {
-    const UtilityCacheStats& s = cache_.stats();
-    if (s.delay_recomputes != delay_before)
-      obs_ctx->trace.emit(
-          {now, obs::TraceEventKind::kUtilityRecompute, self(), kNoNode, p.id, 0});
-    if (s.rate_recomputes != rate_before)
-      obs_ctx->trace.emit(
-          {now, obs::TraceEventKind::kUtilityRecompute, self(), kNoNode, p.id, 1});
-  }
+  if (traced && cache_.stats().rate_recomputes != rate_before)
+    obs_ctx->trace.emit({now, obs::TraceEventKind::kUtilityRecompute, self(), kNoNode, p.id, 1});
 #endif
   return utility;
 }
@@ -195,7 +162,7 @@ double RapidRouter::marginal_for(const Packet& p, RapidRouter* rapid_peer,
                                  const PeerView& peer, Time now) const {
   double d_new = kTimeInfinity;
   if (rapid_peer != nullptr) {
-    d_new = rapid_peer->direct_delay_if_stored(p);
+    d_new = rapid_peer->direct_delay(p);
   } else {
     // Non-RAPID peer (mixed-protocol runs): fall back to our own matrix view
     // of the peer's meeting time and an empty-queue assumption.
@@ -214,7 +181,7 @@ double RapidRouter::marginal_for(const Packet& p, RapidRouter* rapid_peer,
 bool RapidRouter::on_generate(const Packet& p) {
   if (!Router::on_generate(p)) return false;
   queue_insert(p);
-  meta_.update_replica(p.id, ReplicaEstimate{self(), self_direct_delay(p), p.created});
+  meta_.update_replica(p.id, ReplicaEstimate{self(), direct_delay(p), p.created});
   if (global_ != nullptr) global_->add_holder(p.id, self());
   return true;
 }
@@ -222,7 +189,7 @@ bool RapidRouter::on_generate(const Packet& p) {
 void RapidRouter::on_stored(const Packet& p, NodeId /*from*/, std::int64_t /*aux*/,
                             Time now) {
   queue_insert(p);
-  meta_.update_replica(p.id, ReplicaEstimate{self(), self_direct_delay(p), now});
+  meta_.update_replica(p.id, ReplicaEstimate{self(), direct_delay(p), now});
   if (global_ != nullptr) global_->add_holder(p.id, self());
 }
 
@@ -368,9 +335,8 @@ Bytes RapidRouter::exchange_metadata(RapidRouter& peer, Time now, Bytes budget) 
       }
       used += cost;
       meta_bytes_.own += cost;
-      const UtilityCache::DelayInputs inputs{prefix, opportunity, meeting};
-      peer.meta_.update_replica(p.id,
-                                ReplicaEstimate{self(), direct_delay_at(p, inputs), now});
+      peer.meta_.update_replica(
+          p.id, ReplicaEstimate{self(), direct_delay_at(p, {prefix, opportunity, meeting}), now});
       prefix += entry.size;
     }
     return true;
@@ -433,9 +399,9 @@ void RapidRouter::build_plan(const ContactContext& contact, const PeerView& peer
   // whose marginal utility is zero (no known path to the destination yet,
   // Eq. 1's infinity - infinity case) form a second tier ordered by fewest
   // believed replicas, so spare bandwidth is still used rather than idled.
-  // The expensive inputs of each score (rate sum, peer queue position) come
-  // from the utility caches, so only packets whose inputs changed since the
-  // last evaluation are recomputed.
+  // Each score's replica-rate sum comes from the memo, so only packets
+  // whose sum inputs changed since the last evaluation re-sum their
+  // replicas.
   scored_.clear();
   std::vector<Candidate>& fallback = fallback_scratch_;
   fallback.clear();
@@ -489,9 +455,9 @@ void RapidRouter::on_transfer_success(const Packet& p, const PeerView& peer,
     // Track the new replica and hand the packet's known replica list to the
     // receiver (it travels with the packet; full in-band mode only). Refresh
     // our own estimate first so the receiver gets current buffer state.
-    meta_.update_replica(p.id, ReplicaEstimate{self(), self_direct_delay(p), now});
+    meta_.update_replica(p.id, ReplicaEstimate{self(), direct_delay(p), now});
     meta_.update_replica(p.id,
-                         ReplicaEstimate{peer.self(), rapid_peer->self_direct_delay(p), now});
+                         ReplicaEstimate{peer.self(), rapid_peer->direct_delay(p), now});
     if (config_.control == ControlChannelMode::kInBand) {
       for (const ReplicaEstimate& est : meta_.replicas(p.id)) {
         if (est.holder == peer.self()) continue;
@@ -503,12 +469,11 @@ void RapidRouter::on_transfer_success(const Packet& p, const PeerView& peer,
 
 void RapidRouter::flush_obs(obs::ObsContext& out) const {
   const UtilityCacheStats& s = cache_.stats();
-  out.metrics.add(obs::Counter::kUtilityDelayHits, s.delay_hits);
-  out.metrics.add(obs::Counter::kUtilityDelayRecomputes, s.delay_recomputes);
   out.metrics.add(obs::Counter::kUtilityRateHits, s.rate_hits);
   out.metrics.add(obs::Counter::kUtilityRateRecomputes, s.rate_recomputes);
   out.metrics.add(obs::Counter::kUtilityForgets, s.forgets);
   out.metrics.gauge_max(obs::Gauge::kUtilityTrackedPackets, cache_.tracked_packets());
+  out.metrics.add(obs::Counter::kEvictScanned, evict_scanned_);
   const MeetingMatrix::Stats& m = matrix_.stats();
   out.metrics.add(obs::Counter::kMatrixHopRecomputes, m.hop_recomputes);
   out.metrics.add(obs::Counter::kMatrixHopEdges, m.hop_edges);
@@ -527,9 +492,10 @@ PacketId RapidRouter::choose_drop_victim(const Packet& incoming, Time now) {
   const auto keep_priority = [&](const Packet& p) -> double {
     // For the incoming (not yet stored) packet, include the self term it
     // would gain by being stored here, so the comparison is like for like.
+    ++evict_scanned_;
     double rate = replica_rate(p);
     if (!buffer().contains(p.id)) {
-      const double d = direct_delay_if_stored(p);
+      const double d = direct_delay(p);
       if (d > 0 && d != kTimeInfinity) rate += 1.0 / d;
     }
     switch (config_.metric) {

@@ -2,37 +2,34 @@
 //
 // RAPID's control loop (§3.4 / §4) evaluates, at every transfer opportunity,
 // the delay estimate of Algorithm 2 and the marginal utilities of Eqs. 1-3
-// for every buffered packet. Computed eagerly that walk is the dominant cost
-// as node and packet counts grow: the expensive inputs — the queue position
-// term b_j(i) of Algorithm 2, the meeting-time estimate E[M_XZ] (§4.1.2) and
-// the replica-rate sum over the metadata view (§4.2) — change far more
-// slowly than they are read.
-//
-// UtilityCache makes those reads incremental:
+// for every buffered packet. Two of their inputs are worth keeping between
+// contacts:
 //
 //  * Per-destination packet queues live in flat contiguous storage (packed
 //    age-sorted entry vectors, one per destination queued for so far,
 //    behind a direct slot index) instead of a node-keyed map of vectors,
 //    with an incrementally maintained size histogram so the prefix-bytes
-//    term of Algorithm 2 is O(log n) for the uniform-size workloads of
-//    Table 4.
-//  * Per-packet direct-delay estimates (d_j of Algorithm 2) and replica-rate
-//    sums (sum_j 1/d_j of Eqs. 7-9) are memoized in a packed entry vector
-//    reached through a direct slot-by-PacketId index, each value keyed by
-//    the inputs that produced it: the queue-prefix bytes, opportunity
-//    average and meeting-time estimate by value (cheap to read back), the
-//    per-packet metadata record by generation (MetadataStore::generation),
-//    plus buffer membership.
+//    term b_j(i) of Algorithm 2 is O(log n) for the uniform-size workloads
+//    of Table 4.
+//  * Per-packet replica-rate sums (sum_j 1/d_j of Eqs. 7-9) are memoized in
+//    a packed entry vector reached through a direct slot-by-PacketId index.
+//    A sum is a pure function of three things, and its entry is keyed by
+//    exactly those: this node's own direct delay when it holds a copy (the
+//    fresh self term), the packet's metadata record by generation
+//    (MetadataStore::generation), and buffer membership.
 //
-// Invalidation is dirty-tracking by construction: a metadata update, a
-// replica change, a queue edit or a meeting-time move makes exactly the
-// packets whose cached values referenced that input compare stale at their
-// next lookup; everything else keeps hitting — a contact that perturbs a
-// node's matrix without moving the estimate toward some destination
-// invalidates none of that destination's packets. A stale value is
-// recomputed by the same code path the eager engine runs, from identical
-// inputs, so cached and eager routers produce bit-identical figure output
-// (locked in by tests/runner_test.cpp's dual-path figure tests).
+// Algorithm 2's direct delay itself is not memoized: it is one division and
+// one multiply on inputs the router must gather before any lookup, so the
+// router computes it directly (RapidRouter::direct_delay).
+//
+// Invalidation is by key: a replica change or metadata update bumps the
+// record's generation, and a queue edit or meeting-time move that changes
+// this node's own delay changes the self term; exactly the packets whose
+// sums read a moved input miss at their next lookup. Everything else keeps
+// hitting, including a packet whose queue position moved without moving
+// its delay. A miss recomputes from identical inputs in the same order, so
+// a hit is bit-identical to a recompute (tests/runner_test.cpp checks every
+// cached sum of stepped figure cells against a sum computed in the test).
 //
 // Probe counters (UtilityCacheStats) count hits and recomputations per
 // router; RapidRouter::flush_obs sums them into the run's metrics registry
@@ -46,29 +43,21 @@
 
 namespace rapid {
 
-// Hit/recompute probe counters. "Recompute" counts every evaluation of the
-// underlying estimator: an eager (cache-disabled) router counts one per
-// call, a caching router one per miss, so the ratio of the two is the
-// work-saved factor reported by bench_micro.
+// Hit/recompute probe counters for the replica-rate memo. "Recompute"
+// counts every evaluation of the sum: a miss, or a global-oracle rate that
+// is never memoized.
 struct UtilityCacheStats {
-  std::uint64_t delay_hits = 0;
-  std::uint64_t delay_recomputes = 0;
   std::uint64_t rate_hits = 0;
   std::uint64_t rate_recomputes = 0;
   std::uint64_t forgets = 0;  // entries dropped via forget() (acked packets)
-
-  std::uint64_t recomputes() const { return delay_recomputes + rate_recomputes; }
-  std::uint64_t lookups() const {
-    return delay_hits + delay_recomputes + rate_hits + rate_recomputes;
-  }
 };
 
-// The memo itself. Contract: direct_delay()/rate() return exactly what their
-// compute() callback would return for the given inputs — a hit is only ever
-// served when every recorded input compares equal to the caller's, so a
-// caching router is bit-identical to an eager one (the values feed Eqs. 1-3
-// unchanged). The cache owns the per-destination queues it indexes; callers
-// own the generation discipline for the inputs they pass.
+// The memo itself. Contract: rate() returns exactly what its compute()
+// callback would return for the given inputs — a hit is only ever served
+// when every recorded input compares equal to the caller's, so a memoized
+// sum is bit-identical to a fresh one (the values feed Eqs. 1-3 unchanged).
+// The cache owns the per-destination queues it indexes; callers own the
+// generation discipline for the inputs they pass.
 class UtilityCache {
  public:
   // One buffered (or hypothetically stored) packet in a destination queue,
@@ -83,35 +72,19 @@ class UtilityCache {
     }
   };
 
-  // The inputs a direct-delay estimate is a pure function of (Algorithm 2):
-  // the bytes queued ahead b_j(i), the expected opportunity size B_j, and
-  // the expected meeting time E[M]. All three are cheap to read back (the
-  // flat queue answers the prefix in O(log n), the matrix memoizes its
-  // h-hop rows), so entries are keyed by the *values* — a contact that
-  // bumps a generation without actually moving the estimate for this
-  // destination invalidates nothing. Exact double comparison is the point:
-  // the value either moved or it did not (NaN never occurs; infinities
-  // compare equal to themselves).
-  struct DelayInputs {
-    Bytes bytes_ahead = 0;
-    Bytes opportunity = 0;
-    Time meeting_time = 0;
-    bool operator==(const DelayInputs& o) const {
-      return bytes_ahead == o.bytes_ahead && opportunity == o.opportunity &&
-             meeting_time == o.meeting_time;
-    }
-  };
-
-  // A replica-rate sum additionally depends on the packet's metadata record
-  // — compared by generation (MetadataStore::generation), since comparing
-  // the whole replica list would cost as much as resumming it — and on
-  // whether this node currently holds a copy (the fresh self term).
+  // What a replica-rate sum is a pure function of: this node's own direct
+  // delay d_self (0 when it holds no copy), the packet's metadata record —
+  // compared by generation, since comparing the whole replica list would
+  // cost as much as resumming it — and whether this node holds a copy.
+  // Exact double comparison is the point: the self delay either moved or it
+  // did not (NaN never occurs; infinities compare equal to themselves).
   struct RateInputs {
-    DelayInputs delay;
+    double self_delay = 0;
     std::uint64_t metadata_gen = 0;
     bool in_buffer = false;
     bool operator==(const RateInputs& o) const {
-      return delay == o.delay && metadata_gen == o.metadata_gen && in_buffer == o.in_buffer;
+      return self_delay == o.self_delay && metadata_gen == o.metadata_gen &&
+             in_buffer == o.in_buffer;
     }
   };
 
@@ -141,61 +114,36 @@ class UtilityCache {
       if (!fn(dst, find_queue(dst)->entries)) return;
   }
 
-  // --- memoized per-packet estimates ----------------------------------------
+  // --- memoized replica-rate sums ------------------------------------------
   // compute() runs only when the entry is absent or its recorded inputs
-  // differ (the entry is dirty); its result is then stored under `inputs`.
-  // compute() may itself use the cache (a rate recompute reads the cached
-  // self delay); entry references are re-acquired after it runs because an
-  // insertion can grow the packed entry vector.
-
-  template <typename Compute>
-  double direct_delay(PacketId id, const DelayInputs& inputs, Compute&& compute) {
-    if (const Entry* e = find_entry(id);
-        e != nullptr && e->delay_valid && e->inputs == inputs) {
-      ++stats_.delay_hits;
-      return e->delay;
-    }
-    const double value = compute();
-    ++stats_.delay_recomputes;
-    Entry& e = entry_for(id);
-    // The entry shares one input key between both cached values (a cache
-    // line per packet); moving it invalidates the sibling value, which was
-    // computed under the old state.
-    if (!(e.inputs == inputs)) e.rate_valid = false;
-    e.inputs = inputs;
-    e.delay = value;
-    e.delay_valid = true;
-    return value;
-  }
+  // differ; its result is then stored under `inputs`. compute() may use the
+  // cache itself: the entry is acquired only after it returns.
 
   template <typename Compute>
   double rate(PacketId id, const RateInputs& inputs, Compute&& compute) {
-    if (const Entry* e = find_entry(id);
-        e != nullptr && e->rate_valid && e->inputs == inputs.delay &&
-        e->metadata_gen == inputs.metadata_gen && e->rate_in_buffer == inputs.in_buffer) {
+    if (const Entry* e = find_entry(id); e != nullptr && e->inputs == inputs) {
       ++stats_.rate_hits;
       return e->rate;
     }
-    const double value = compute();  // typically refreshes the delay in place
+    const double value = compute();
     ++stats_.rate_recomputes;
     Entry& e = entry_for(id);
-    if (!(e.inputs == inputs.delay)) e.delay_valid = false;
-    e.inputs = inputs.delay;
     e.rate = value;
-    e.metadata_gen = inputs.metadata_gen;
-    e.rate_in_buffer = inputs.in_buffer;
-    e.rate_valid = true;
+    e.inputs = inputs;
     return value;
   }
 
-  // Drop the packet's cached values entirely (it was acknowledged: the
-  // router will never ask about it again).
-  void forget(PacketId id);
+  // A sum no key can capture (the global oracle reads other nodes' queues):
+  // evaluated fresh every time and counted as a recompute.
+  template <typename Compute>
+  double uncached_rate(Compute&& compute) {
+    ++stats_.rate_recomputes;
+    return compute();
+  }
 
-  // Eager-mode probes: a cache-disabled router reports every evaluation here
-  // so eager and cached runs expose comparable recompute counts.
-  void note_eager_delay() { ++stats_.delay_recomputes; }
-  void note_eager_rate() { ++stats_.rate_recomputes; }
+  // Drop the packet's memoized sum (it was acknowledged or dropped: the
+  // router asks about it again rarely, if ever).
+  void forget(PacketId id);
 
   const UtilityCacheStats& stats() const { return stats_; }
   std::size_t tracked_packets() const { return entries_.size(); }
@@ -209,20 +157,12 @@ class UtilityCache {
     Bytes total_bytes = 0;
   };
 
-  // One packet's memo, sized to a cache line: both values share one input
-  // key (they are virtually always refreshed together — a rate recompute
-  // refreshes the delay it embeds), with the rate's extra key fields beside
-  // it. Moving the shared key invalidates whichever sibling value was not
-  // part of the store.
+  // One packet's memo. Entries are created only after a compute, so every
+  // entry holds a valid sum.
   struct Entry {
     PacketId id = kNoPacket;
-    double delay = 0;
     double rate = 0;
-    DelayInputs inputs;
-    std::uint64_t metadata_gen = 0;
-    bool delay_valid = false;
-    bool rate_valid = false;
-    bool rate_in_buffer = false;
+    RateInputs inputs;
   };
 
   // Direct index from the dense PacketId space to a slot in the packed

@@ -1,6 +1,7 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace rapid::obs {
 
@@ -13,6 +14,7 @@ const char* counter_name(Counter c) {
     case Counter::kContactPartialTransfers: return "contact.partial_transfers";
     case Counter::kContactSessions: return "contact.sessions";
     case Counter::kContactTransfers: return "contact.transfers";
+    case Counter::kEvictScanned: return "evict.scanned";
     case Counter::kFaultCorruptedBytes: return "fault.corrupted_bytes";
     case Counter::kFaultCorruptedTransfers: return "fault.corrupted_transfers";
     case Counter::kFaultCrashes: return "fault.crashes";
@@ -42,8 +44,6 @@ const char* counter_name(Counter c) {
     case Counter::kSimEventsPacket: return "sim.events.packet";
     case Counter::kSimEventsSkipped: return "sim.events.skipped";
     case Counter::kTraceDropped: return "trace.dropped";
-    case Counter::kUtilityDelayHits: return "utility.delay_hits";
-    case Counter::kUtilityDelayRecomputes: return "utility.delay_recomputes";
     case Counter::kUtilityForgets: return "utility.forgets";
     case Counter::kUtilityRateHits: return "utility.rate_hits";
     case Counter::kUtilityRateRecomputes: return "utility.rate_recomputes";
@@ -82,6 +82,24 @@ int bucket_of(std::uint64_t value) {
   return width == 0 ? 0 : width - 1;
 }
 
+constexpr std::size_t kHistCount = static_cast<std::size_t>(Hist::kCount);
+constexpr const char* kHistFields[] = {".count", ".max", ".min", ".sum"};
+constexpr std::size_t kHistFieldCount = std::size(kHistFields);
+
+// The flattened histogram keys, built once per process: snapshot samples
+// view them instead of concatenating a name per snapshot.
+const std::array<std::string, kHistCount * kHistFieldCount>& hist_keys() {
+  static const auto keys = [] {
+    std::array<std::string, kHistCount * kHistFieldCount> out;
+    for (std::size_t i = 0; i < kHistCount; ++i)
+      for (std::size_t f = 0; f < kHistFieldCount; ++f)
+        out[i * kHistFieldCount + f] =
+            std::string(hist_name(static_cast<Hist>(i))) + kHistFields[f];
+    return out;
+  }();
+  return keys;
+}
+
 }  // namespace
 
 void Histogram::observe(std::uint64_t value) {
@@ -94,25 +112,24 @@ void Histogram::observe(std::uint64_t value) {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  snap.samples.reserve(counters_.size() + gauges_.size() + hists_.size() * 4);
+  snap.samples.reserve(counters_.size() + gauges_.size() + hists_.size() * kHistFieldCount);
   for (std::size_t i = 0; i < counters_.size(); ++i)
     snap.samples.push_back({counter_name(static_cast<Counter>(i)), counters_[i]});
   for (std::size_t i = 0; i < gauges_.size(); ++i)
     snap.samples.push_back({gauge_name(static_cast<Gauge>(i)), gauges_[i]});
+  const auto& keys = hist_keys();
   for (std::size_t i = 0; i < hists_.size(); ++i) {
-    const std::string base = hist_name(static_cast<Hist>(i));
     const Histogram& h = hists_[i];
-    snap.samples.push_back({base + ".count", h.count});
-    snap.samples.push_back({base + ".max", h.max});
-    snap.samples.push_back({base + ".min", h.min});
-    snap.samples.push_back({base + ".sum", h.sum});
+    const std::uint64_t values[kHistFieldCount] = {h.count, h.max, h.min, h.sum};
+    for (std::size_t f = 0; f < kHistFieldCount; ++f)
+      snap.samples.push_back({keys[i * kHistFieldCount + f], values[f]});
   }
   std::sort(snap.samples.begin(), snap.samples.end(),
             [](const MetricSample& a, const MetricSample& b) { return a.name < b.name; });
   return snap;
 }
 
-std::uint64_t MetricsSnapshot::value(const std::string& name) const {
+std::uint64_t MetricsSnapshot::value(std::string_view name) const {
   for (const MetricSample& s : samples)
     if (s.name == name) return s.value;
   return 0;
@@ -122,7 +139,11 @@ std::string MetricsSnapshot::to_json(int indent) const {
   const std::string pad(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
   std::string out = "{\n";
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    out += pad + "\"" + samples[i].name + "\": " + std::to_string(samples[i].value);
+    out += pad;
+    out += '"';
+    out += samples[i].name;
+    out += "\": ";
+    out += std::to_string(samples[i].value);
     if (i + 1 < samples.size()) out += ",";
     out += "\n";
   }

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.h"
@@ -28,6 +29,7 @@ enum class Counter : std::uint16_t {
   kContactPartialTransfers,
   kContactSessions,
   kContactTransfers,
+  kEvictScanned,
   kFaultCorruptedBytes,
   kFaultCorruptedTransfers,
   kFaultCrashes,
@@ -57,8 +59,6 @@ enum class Counter : std::uint16_t {
   kSimEventsPacket,
   kSimEventsSkipped,
   kTraceDropped,
-  kUtilityDelayHits,
-  kUtilityDelayRecomputes,
   kUtilityForgets,
   kUtilityRateHits,
   kUtilityRateRecomputes,
@@ -98,9 +98,11 @@ struct Histogram {
 };
 
 // One flattened (name, value) pair of a snapshot. Histograms flatten into
-// .count/.sum/.min/.max keys so the snapshot stays a flat map.
+// .count/.sum/.min/.max keys so the snapshot stays a flat map. The name
+// views static catalog storage (the histogram keys are built once per
+// process), so a snapshot allocates only its sample vector.
 struct MetricSample {
-  std::string name;
+  std::string_view name;
   std::uint64_t value = 0;
 };
 
@@ -109,7 +111,7 @@ struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
   // 0 when the key is absent (never the case for catalog names).
-  std::uint64_t value(const std::string& name) const;
+  std::uint64_t value(std::string_view name) const;
   // Renders {"name": value, ...} with the stable key order, indented with
   // `indent` leading spaces per line.
   std::string to_json(int indent = 2) const;

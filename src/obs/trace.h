@@ -30,7 +30,7 @@ enum class TraceEventKind : std::uint32_t {
   kPacketDeliver = 4, // a = sender, b = destination; value = delay-free marker (size)
   kPacketPartial = 5, // a = sender, b = receiver; value = bytes burned mid-air
   kPacketDrop = 6,    // a = dropping node; value = size
-  kUtilityRecompute = 7,  // a = node; packet = packet id; value = 0 delay / 1 rate
+  kUtilityRecompute = 7,  // a = node; packet = packet id; value = 1 (rate sum)
   kNodeCrash = 8,         // a = node; value = 1 when buffers were dropped
   kNodeRecover = 9,       // a = node (rejoins with stale state)
   kPacketCorrupt = 10,    // a = sender, b = receiver; value = bytes burned

@@ -241,7 +241,6 @@ SimResult run_instance(const Scenario& scenario, const Instance& instance,
                        const RunSpec& spec) {
   ProtocolParams params = scenario.protocol_params();
   params.metric = spec.metric;
-  params.rapid_incremental_cache = spec.rapid_incremental_cache;
 
   const Bytes buffer = spec.buffer_override != -2 ? spec.buffer_override
                                                   : scenario.config().buffer_capacity;

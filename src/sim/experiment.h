@@ -154,9 +154,6 @@ struct RunSpec {
   RoutingMetric metric = RoutingMetric::kAvgDelay;
   double metadata_cap_fraction = -1.0;  // Fig 8 sweeps this
   Bytes buffer_override = -2;           // -2 = use the scenario default
-  // RAPID's incremental utility cache (core/utility_cache.h). The dual-path
-  // tests flip this off to prove eager and cached runs are bit-identical.
-  bool rapid_incremental_cache = true;
   // Observability knobs forwarded to every run's Simulation (profiling
   // clocks, trace-ring capacity). Defaults keep both off; the run's report
   // comes back on SimResult::obs either way (counters are always collected).

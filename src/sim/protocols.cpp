@@ -53,7 +53,6 @@ RouterFactory make_protocol_factory(ProtocolKind kind, const ProtocolParams& par
       config.prior_meeting_time = params.rapid_prior_meeting_time;
       config.prior_opportunity_bytes = params.rapid_prior_opportunity;
       config.utility.delay_cap = params.rapid_delay_cap;
-      config.use_utility_cache = params.rapid_incremental_cache;
       std::shared_ptr<GlobalChannel> channel;
       if (kind == ProtocolKind::kRapidGlobal) {
         config.control = ControlChannelMode::kGlobalOracle;

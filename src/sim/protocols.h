@@ -43,9 +43,10 @@ struct ProtocolParams {
   double rapid_prior_meeting_time = 6.0 * kSecondsPerHour;
   Bytes rapid_prior_opportunity = 100_KB;
   double rapid_delay_cap = 24.0 * kSecondsPerHour;
-  // Serve RAPID's per-packet delay/rate estimates through the incremental
-  // utility cache (core/utility_cache.h). Off = eager recomputation; output
-  // is bit-identical either way (dual-path tests lock this in).
+  // Read by routing nothing: RAPID's replica-rate memo is always on. The
+  // field stays only because the benchmark driver (benchmark/timed.h)
+  // assigns it; ServiceEngine still mixes it into its snapshot config hash
+  // so snapshot fingerprints do not move.
   bool rapid_incremental_cache = true;
   double prophet_aging_unit = 60.0;
   int spray_copies = 12;  // §6.1: L = 12

@@ -75,6 +75,25 @@ TEST(MetricsRegistryTest, SnapshotKeysSortedAndComplete) {
   EXPECT_EQ(snap.value("no.such.key"), 0u);
 }
 
+TEST(MetricsRegistryTest, SnapshotNamesViewStaticCatalogStorage) {
+  // Snapshot keys are views of the static catalog (histogram keys included),
+  // so two snapshots of different registries share their name storage and a
+  // snapshot allocates no key string.
+  MetricsRegistry a;
+  MetricsRegistry b;
+  b.observe(Hist::kContactCapacityBytes, 7);
+  const MetricsSnapshot first = a.snapshot();
+  const MetricsSnapshot second = b.snapshot();
+  ASSERT_EQ(first.samples.size(), second.samples.size());
+  for (std::size_t i = 0; i < first.samples.size(); ++i) {
+    EXPECT_EQ(first.samples[i].name, second.samples[i].name);
+    EXPECT_EQ(static_cast<const void*>(first.samples[i].name.data()),
+              static_cast<const void*>(second.samples[i].name.data()))
+        << first.samples[i].name;
+  }
+  EXPECT_EQ(second.value("contact.capacity_bytes.count"), 1u);
+}
+
 TEST(MetricsRegistryTest, SnapshotJsonIsStable) {
   MetricsRegistry reg;
   reg.add(Counter::kMobilityPops, 2);
@@ -373,9 +392,9 @@ TEST(ObsSimulationTest, CountersMatchSimResult) {
   EXPECT_EQ(m.value("router.drops"), result.drops);
   EXPECT_EQ(m.value("contact.capacity_bytes.sum"),
             static_cast<std::uint64_t>(result.capacity_bytes));
-  // RAPID ran with the utility cache: its router-side probes must have
+  // RAPID ran with the replica-rate memo: its router-side probes must have
   // flushed through Router::flush_obs.
-  EXPECT_GT(m.value("utility.delay_recomputes") + m.value("utility.delay_hits"), 0u);
+  EXPECT_GT(m.value("utility.rate_recomputes") + m.value("utility.rate_hits"), 0u);
   // All-RAPID with the in-band control channel: every metadata byte a
   // contact charged was sent by exchange_metadata under one of its five
   // priorities.

@@ -313,8 +313,8 @@ TEST_F(RapidRouterTest, EstimatesUseQueuePosition) {
   }
   // Later packets sit deeper in the queue; with B = average opportunity of
   // the warm-up (0 bytes -> prior), positions map to meeting counts.
-  const double d0 = router(0).self_direct_delay(pool_.get(ids[0]));
-  const double d2 = router(0).self_direct_delay(pool_.get(ids[2]));
+  const double d0 = router(0).direct_delay(pool_.get(ids[0]));
+  const double d2 = router(0).direct_delay(pool_.get(ids[2]));
   EXPECT_LE(d0, d2);
 }
 

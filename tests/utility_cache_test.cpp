@@ -1,12 +1,10 @@
 // Tests for the incremental utility engine (core/utility_cache.h): flat
-// destination-queue storage, the open-addressing packet index, memoization
-// semantics, and — via a RapidRouter — the invalidation edges: ack arrival,
-// replica learned through metadata, meeting-matrix generation bump, and
-// expiry-driven eviction mid-contact. Each edge must dirty exactly the
-// affected packets, asserted with the cache's probe counters. A final test
-// locks in the headline property: a cached simulation performs several times
-// fewer utility recomputations than the eager path while producing identical
-// results.
+// destination-queue storage, the direct packet index, the replica-rate memo's
+// semantics, and — via a RapidRouter — its invalidation edges: ack arrival,
+// replica learned through metadata, meeting-time move, and expiry-driven
+// eviction mid-contact. Each edge must dirty exactly the packets whose sums
+// read a moved input, asserted with the cache's probe counters. A final test
+// locks in the memo's worth on a whole simulation: most rate lookups hit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -90,51 +88,53 @@ TEST(UtilityCacheMemo, RecomputesOnlyWhenInputsChange) {
   UtilityCache cache(2);
   int evaluations = 0;
   const auto compute = [&] { return 10.0 * ++evaluations; };
-  UtilityCache::DelayInputs inputs{1_KB, 100_KB, 300.0};
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 10.0);
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 10.0);  // hit
+  UtilityCache::RateInputs inputs{300.0, 5, true};
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 10.0);
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 10.0);  // hit
   EXPECT_EQ(evaluations, 1);
-  inputs.meeting_time = 450.0;  // any moved input dirties the entry
-  EXPECT_DOUBLE_EQ(cache.direct_delay(7, inputs, compute), 20.0);
-  EXPECT_EQ(evaluations, 2);
-  EXPECT_EQ(cache.stats().delay_hits, 1u);
-  EXPECT_EQ(cache.stats().delay_recomputes, 2u);
-
-  UtilityCache::RateInputs rate_inputs{inputs, 5, true};
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 30.0);
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 30.0);
-  rate_inputs.in_buffer = false;  // buffer membership is part of the key
-  EXPECT_DOUBLE_EQ(cache.rate(7, rate_inputs, compute), 40.0);
-  EXPECT_EQ(cache.stats().rate_hits, 1u);
-  EXPECT_EQ(cache.stats().rate_recomputes, 2u);
+  inputs.self_delay = 450.0;  // every key field dirties the entry
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 20.0);
+  inputs.metadata_gen = 6;
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 30.0);
+  inputs.in_buffer = false;
+  inputs.self_delay = 0;
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 40.0);
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 40.0);  // hit
+  EXPECT_EQ(cache.stats().rate_hits, 2u);
+  EXPECT_EQ(cache.stats().rate_recomputes, 4u);
+  // An infinite self delay (unreachable destination) is a key like any other.
+  inputs = UtilityCache::RateInputs{kTimeInfinity, 6, true};
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 50.0);
+  EXPECT_DOUBLE_EQ(cache.rate(7, inputs, compute), 50.0);
+  EXPECT_EQ(evaluations, 5);
 }
 
 TEST(UtilityCacheMemo, SurvivesGrowthAndForget) {
   UtilityCache cache(2);
-  const UtilityCache::DelayInputs inputs{1_KB, 100_KB, 300.0};
-  // Enough distinct packets to force several index rehashes.
+  const UtilityCache::RateInputs inputs{300.0, 1, true};
+  // Enough distinct packets to grow the index and the packed entries often.
   for (PacketId id = 0; id < 10000; ++id)
-    cache.direct_delay(id, inputs, [&] { return static_cast<double>(id); });
+    cache.rate(id, inputs, [&] { return static_cast<double>(id); });
   EXPECT_EQ(cache.tracked_packets(), 10000u);
   for (PacketId id = 0; id < 10000; ++id) {
     int evaluated = 0;
-    EXPECT_DOUBLE_EQ(cache.direct_delay(id, inputs,
-                                        [&] {
-                                          ++evaluated;
-                                          return -1.0;
-                                        }),
+    EXPECT_DOUBLE_EQ(cache.rate(id, inputs,
+                                [&] {
+                                  ++evaluated;
+                                  return -1.0;
+                                }),
                      static_cast<double>(id));
     EXPECT_EQ(evaluated, 0) << id;
   }
   // Forget every third packet (ack purges); the survivors keep their values.
   for (PacketId id = 0; id < 10000; id += 3) cache.forget(id);
+  EXPECT_EQ(cache.stats().forgets, 3334u);
   for (PacketId id = 0; id < 10000; ++id) {
     int evaluated = 0;
-    const double value =
-        cache.direct_delay(id, inputs, [&] {
-          ++evaluated;
-          return -2.0;
-        });
+    const double value = cache.rate(id, inputs, [&] {
+      ++evaluated;
+      return -2.0;
+    });
     if (id % 3 == 0) {
       EXPECT_EQ(evaluated, 1) << id;  // forgotten: recomputed
       EXPECT_DOUBLE_EQ(value, -2.0);
@@ -146,16 +146,19 @@ TEST(UtilityCacheMemo, SurvivesGrowthAndForget) {
 }
 
 TEST(UtilityCacheMemo, NestedComputeMayGrowTheIndex) {
-  // A rate recompute reads the cached self delay — the inner call may insert
-  // an entry and reallocate the packed vector mid-flight.
+  // compute() may use the cache itself: the inner call inserts an entry and
+  // may reallocate the packed vector before the outer entry is stored.
   UtilityCache cache(2);
-  const UtilityCache::DelayInputs delay_inputs{1_KB, 100_KB, 300.0};
-  const UtilityCache::RateInputs rate_inputs{delay_inputs, 1, true};
+  const UtilityCache::RateInputs inputs{300.0, 1, true};
   for (PacketId id = 0; id < 200; ++id) {
-    const double value = cache.rate(id, rate_inputs, [&] {
-      return cache.direct_delay(id + 100000, delay_inputs, [&] { return 2.0; }) + 1.0;
+    const double value = cache.rate(id, inputs, [&] {
+      return cache.rate(id + 100000, inputs, [] { return 2.0; }) + 1.0;
     });
     EXPECT_DOUBLE_EQ(value, 3.0);
+  }
+  for (PacketId id = 0; id < 200; ++id) {
+    EXPECT_DOUBLE_EQ(cache.rate(id, inputs, [] { return -1.0; }), 3.0);
+    EXPECT_DOUBLE_EQ(cache.rate(id + 100000, inputs, [] { return -1.0; }), 2.0);
   }
 }
 
@@ -178,6 +181,19 @@ class InvalidationEdgeTest : public ::testing::Test {
   }
 
   RapidRouter& router(NodeId n) { return *routers_[static_cast<std::size_t>(n)]; }
+
+  // Two meetings with `dst` make E[M](0, dst) finite. Under a 1 KB expected
+  // opportunity each 1 KB packet queued ahead then adds one meeting, so a
+  // queue edit moves the self delay of every packet behind it.
+  void reach(NodeId dst) {
+    router(0).contact_begin(PeerView(router(dst)), 10.0, 0);
+    router(0).contact_begin(PeerView(router(dst)), 30.0, 0);
+  }
+  static RapidConfig one_kb_opportunities() {
+    RapidConfig config;
+    config.prior_opportunity_bytes = 1_KB;
+    return config;
+  }
 
   PacketId make_packet(NodeId src, NodeId dst, Time created,
                        Time deadline = kTimeInfinity) {
@@ -216,10 +232,9 @@ class InvalidationEdgeTest : public ::testing::Test {
     for (const PacketId id : group_b_)
       if (router(0).buffer().contains(id)) router(0).replica_rate(pool_.get(id));
     const UtilityCacheStats& after = router(0).utility_cache().stats();
-    return UtilityCacheStats{after.delay_hits - before.delay_hits,
-                             after.delay_recomputes - before.delay_recomputes,
-                             after.rate_hits - before.rate_hits,
-                             after.rate_recomputes - before.rate_recomputes};
+    return UtilityCacheStats{after.rate_hits - before.rate_hits,
+                             after.rate_recomputes - before.rate_recomputes,
+                             after.forgets - before.forgets};
   }
 
   PacketPool pool_;
@@ -236,21 +251,33 @@ TEST_F(InvalidationEdgeTest, SteadyStateProbesAllHit) {
   seed_and_warm();
   const UtilityCacheStats delta = probe();
   EXPECT_EQ(delta.rate_recomputes, 0u);
-  EXPECT_EQ(delta.delay_recomputes, 0u);
   EXPECT_EQ(delta.rate_hits, 6u);
 }
 
 TEST_F(InvalidationEdgeTest, AckArrivalDirtiesOnlyTheAckedDestination) {
-  init(RapidConfig{});
+  init(one_kb_opportunities());
+  reach(2);
   seed_and_warm();
-  // Delivery ack for one destination-2 packet: purges it, shortens that
-  // queue, and must leave destination 3's estimates untouched.
+  // Delivery ack for one destination-2 packet: purges it, moves the two
+  // survivors one meeting closer, and must leave destination 3's sums
+  // untouched.
   PeerView(router(0)).learn_ack(group_a_[0], 50.0);
   EXPECT_FALSE(router(0).buffer().contains(group_a_[0]));
   const UtilityCacheStats delta = probe();
-  EXPECT_EQ(delta.rate_recomputes, 2u);   // the two surviving dst-2 packets
-  EXPECT_EQ(delta.delay_recomputes, 2u);  // their queue positions moved
-  EXPECT_EQ(delta.rate_hits, 3u);         // all of destination 3 still hits
+  EXPECT_EQ(delta.rate_recomputes, 2u);  // the two surviving dst-2 packets
+  EXPECT_EQ(delta.rate_hits, 3u);        // all of destination 3 still hits
+}
+
+TEST_F(InvalidationEdgeTest, QueueMoveThatKeepsTheSelfDelayStillHits) {
+  init(RapidConfig{});
+  seed_and_warm();
+  // Destination 2 is unreachable, so every dst-2 self delay is infinite
+  // before and after the ack: the survivors' queue positions move, their
+  // sums cannot, and all five lookups hit.
+  PeerView(router(0)).learn_ack(group_a_[0], 50.0);
+  const UtilityCacheStats delta = probe();
+  EXPECT_EQ(delta.rate_recomputes, 0u);
+  EXPECT_EQ(delta.rate_hits, 5u);
 }
 
 TEST_F(InvalidationEdgeTest, MetadataReplicaDirtiesExactlyThatPacket) {
@@ -262,16 +289,13 @@ TEST_F(InvalidationEdgeTest, MetadataReplicaDirtiesExactlyThatPacket) {
   router(0).on_transfer_success(pool_.get(group_a_[0]), PeerView(router(3)),
                                 ReceiveOutcome::kStored, 60.0);
   const UtilityCacheStats delta = probe();
-  EXPECT_EQ(delta.rate_recomputes, 1u);
-  EXPECT_EQ(delta.delay_recomputes, 0u);  // no queue or matrix change
+  EXPECT_EQ(delta.rate_recomputes, 1u);  // its metadata generation moved
   EXPECT_EQ(delta.rate_hits, 5u);
 }
 
 TEST_F(InvalidationEdgeTest, MeetingTimeMoveDirtiesOnlyAffectedDestinations) {
   init(RapidConfig{});
-  // Meet destination 2 twice so E[M](0,2) is finite before warming the cache.
-  router(0).contact_begin(PeerView(router(2)), 10.0, 0);
-  router(0).contact_begin(PeerView(router(2)), 30.0, 0);
+  reach(2);  // E[M](0,2) is finite before warming the cache
   seed_and_warm();
   // A third meeting moves the running inter-meeting mean for destination 2
   // (matrix generation bump): its packets recompute. Destination 3 remains
@@ -280,14 +304,14 @@ TEST_F(InvalidationEdgeTest, MeetingTimeMoveDirtiesOnlyAffectedDestinations) {
   router(0).contact_begin(PeerView(router(2)), 60.0, 0);
   const UtilityCacheStats delta = probe();
   EXPECT_EQ(delta.rate_recomputes, 3u);
-  EXPECT_EQ(delta.delay_recomputes, 3u);
   EXPECT_EQ(delta.rate_hits, 3u);
 }
 
 TEST_F(InvalidationEdgeTest, ExpiryEvictionMidContactDirtiesAffectedQueuesOnly) {
-  RapidConfig config;
+  RapidConfig config = one_kb_opportunities();
   config.metric = RoutingMetric::kMissedDeadlines;
   init(config, 6_KB);  // room for exactly the six seeded packets
+  reach(2);
   // First destination-2 packet expires at t=10; everything else is viable.
   group_a_.push_back(receive(2, 0.0, 10.0));
   group_a_.push_back(receive(2, 1.0, 10000.0));
@@ -299,8 +323,8 @@ TEST_F(InvalidationEdgeTest, ExpiryEvictionMidContactDirtiesAffectedQueuesOnly) 
 
   // A seventh packet arrives mid-contact after the deadline passed: the
   // expired packet is the designated drop victim (§3.4 lowest utility
-  // first). Its eviction and the arrival both edit destination-2's queue;
-  // destination 3 must keep hitting.
+  // first). Its eviction moves the dst-2 survivors one meeting closer and
+  // the arrival is newly buffered; destination 3 must keep hitting.
   const PacketId incoming = receive(2, 100.0, 10000.0);
   EXPECT_FALSE(router(0).buffer().contains(group_a_[0]));  // expired copy gone
   group_a_[0] = incoming;
@@ -313,37 +337,20 @@ TEST_F(InvalidationEdgeTest, ExpiryEvictionMidContactDirtiesAffectedQueuesOnly) 
 
 TEST(UtilityCacheSavings, PowerlawLargeRecomputesAtLeastThreeTimesLess) {
   // One run of the registered powerlaw-large scenario (500 nodes, >= 10k
-  // packets), eager vs cached. The cached run must deliver identical results
-  // (the dual-path figure tests in runner_test.cpp cover full bit-identity)
-  // with >= 3x fewer utility recomputations — the acceptance bar for the
-  // incremental engine.
+  // packets): the replica-rate memo must serve at least two of every three
+  // lookups, i.e. lookups >= 3x recomputes. runner_test.cpp's
+  // UtilityCachePath tests check the served sums against a reference.
   ScenarioConfig config = runner::ScenarioRegistry::global().make("powerlaw-large");
   const Scenario scenario(config);
-  const Instance inst = scenario.instance(0, 3.0);
-
-  const auto run = [&](bool cached) {
-    RunSpec spec;
-    spec.protocol = ProtocolKind::kRapid;
-    spec.rapid_incremental_cache = cached;
-    return run_instance(scenario, inst, spec);
-  };
+  RunSpec spec;
+  spec.protocol = ProtocolKind::kRapid;
+  const SimResult result = run_instance(scenario, scenario.instance(0, 3.0), spec);
+  ASSERT_NE(result.obs, nullptr);
   // Every router's cache counters, summed into the run's registry at finish().
-  const auto recomputes = [](const SimResult& result) {
-    return result.obs->metrics.value("utility.delay_recomputes") +
-           result.obs->metrics.value("utility.rate_recomputes");
-  };
-
-  const SimResult eager_result = run(false);
-  const SimResult cached_result = run(true);
-
-  EXPECT_EQ(eager_result.delivered, cached_result.delivered);
-  EXPECT_EQ(eager_result.avg_delay, cached_result.avg_delay);
-  EXPECT_EQ(eager_result.data_bytes, cached_result.data_bytes);
-  ASSERT_NE(eager_result.obs, nullptr);
-  ASSERT_NE(cached_result.obs, nullptr);
-  ASSERT_GT(recomputes(cached_result), 0u);
-  EXPECT_GE(recomputes(eager_result), 3 * recomputes(cached_result))
-      << "eager=" << recomputes(eager_result) << " cached=" << recomputes(cached_result);
+  const std::uint64_t hits = result.obs->metrics.value("utility.rate_hits");
+  const std::uint64_t recomputes = result.obs->metrics.value("utility.rate_recomputes");
+  ASSERT_GT(recomputes, 0u);
+  EXPECT_GE(hits + recomputes, 3 * recomputes) << "hits=" << hits << " recomputes=" << recomputes;
 }
 
 }  // namespace
