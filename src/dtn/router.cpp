@@ -167,13 +167,18 @@ bool Router::store_with_eviction(const Packet& p, Time now) {
 
 bool Router::buffer_insert(const Packet& p) {
   if (!buffer_.insert(p.id, p.size)) return false;
-  if (age_tracked_) age_order_.insert(p.created, p.id);
+  if (age_tracked_) {
+    age_order_.insert(p.created, p.id);
+    // Removed entries leave only at a read; fold them in here if the
+    // protocol reads too rarely, so the order stays O(buffer).
+    if (age_order_.size() > 2 * buffer_.count() + 64) oldest_first();
+  }
   return true;
 }
 
 bool Router::buffer_erase(const Packet& p) {
   if (!buffer_.erase(p.id)) return false;
-  if (age_tracked_) age_order_.remove(p.created, p.id);
+  if (age_tracked_) age_order_.note_removal();
   return true;
 }
 
@@ -192,7 +197,7 @@ const std::vector<std::pair<Time, PacketId>>& Router::oldest_first() {
     for (const Buffer::Entry& e : buffer_.entries())
       age_order_.insert(ctx_->packet(e.id).created, e.id);
   }
-  return age_order_.entries();
+  return age_order_.entries(buffer_, arena().age_merge);
 }
 
 PacketId Router::random_victim() {

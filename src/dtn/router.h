@@ -64,6 +64,7 @@ class ObsContext;  // obs/obs.h
 // to a private arena when constructed without one (tests, fixtures).
 struct ScratchArena {
   std::vector<std::pair<PacketId, const PacketMetadata*>> changed;  // delta exchange
+  std::vector<AgeOrder::Entry> age_merge;  // Router::oldest_first's merge
 };
 
 // Global-knowledge escape hatch. Regular protocols must not reach other
@@ -302,8 +303,9 @@ class Router {
   // The buffered packets in (created, id) ascending order. The first call
   // builds the order from the buffer; from then on the base class keeps it
   // in step with every store, eviction, ack purge and crash, so protocols
-  // that never ask pay nothing. Edits made straight through buffer() bypass
-  // it.
+  // that never ask pay nothing. A removal costs O(1); the next read drops
+  // its entry and merges what was stored since, in the arena's scratch.
+  // Edits made straight through buffer() bypass it.
   const std::vector<std::pair<Time, PacketId>>& oldest_first();
 
   // A uniformly drawn buffered packet, or kNoPacket when the buffer is

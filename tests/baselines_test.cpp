@@ -1,6 +1,11 @@
 // Behavioural tests for the comparison protocols of §6.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
+#include <vector>
+
 #include "baselines/direct.h"
 #include "baselines/epidemic.h"
 #include "baselines/maxprop.h"
@@ -10,6 +15,8 @@
 #include "dtn/contact_session.h"
 #include "dtn/metrics.h"
 #include "sim/protocols.h"
+#include "util/binio.h"
+#include "util/rng.h"
 
 namespace rapid {
 namespace {
@@ -302,6 +309,101 @@ TEST_F(BaselinesTest, EpidemicDropsOldestArrivalWhenFull) {
   EXPECT_FALSE(r.buffer().contains(first));  // FIFO drop
   EXPECT_TRUE(r.buffer().contains(second));
   EXPECT_TRUE(r.buffer().contains(third));
+}
+
+// Checks every FIFO victim against the plain definition: the buffered packet
+// stored longest ago, found by a linear scan over arrival numbers the probe
+// keeps itself.
+class FifoProbeRouter : public EpidemicRouter {
+ public:
+  using EpidemicRouter::EpidemicRouter;
+  using Router::learn_ack;
+
+  bool on_generate(const Packet& p) override {
+    if (!EpidemicRouter::on_generate(p)) return false;
+    note(p.id);
+    return true;
+  }
+
+  PacketId choose_drop_victim(const Packet& incoming, Time now) override {
+    const PacketId victim = EpidemicRouter::choose_drop_victim(incoming, now);
+    PacketId oldest = kNoPacket;
+    buffer().for_each([&](PacketId id, Bytes) {
+      if (oldest == kNoPacket || arrival[static_cast<std::size_t>(id)] <
+                                     arrival[static_cast<std::size_t>(oldest)])
+        oldest = id;
+    });
+    EXPECT_EQ(victim, oldest);
+    ++checks;
+    return victim;
+  }
+
+  std::vector<std::uint64_t> arrival;  // the probe's own arrival numbers
+  std::uint64_t next_arrival = 0;
+  int checks = 0;
+
+ protected:
+  void on_stored(const Packet& p, NodeId from, std::int64_t aux, Time now) override {
+    EpidemicRouter::on_stored(p, from, aux, now);
+    note(p.id);
+  }
+
+ private:
+  void note(PacketId id) {
+    if (arrival.size() <= static_cast<std::size_t>(id)) arrival.resize(id + 1, 0);
+    arrival[static_cast<std::size_t>(id)] = next_arrival++;
+  }
+};
+
+TEST(EpidemicFifo, QueueVictimMatchesTheArrivalScanThroughoutARandomHistory) {
+  Rng rng(0xf1f0);
+  PacketPool pool;
+  for (int i = 0; i < 1500; ++i) {
+    Packet p;
+    p.src = 0;
+    p.dst = 3;
+    p.size = rng.uniform_int(1, 3) * 1_KB;
+    p.created = static_cast<Time>(i);
+    pool.add(p);
+  }
+  SimContext ctx;
+  ctx.pool = &pool;
+  ctx.num_nodes = 4;
+  const auto make = [&] { return std::make_unique<FifoProbeRouter>(0, 10_KB, &ctx, EpidemicConfig{}); };
+  auto router = make();
+  FifoProbeRouter peer(1, Bytes{-1}, &ctx, EpidemicConfig{});
+  PacketId next_fresh = 0;
+  int checks_before_restore = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const Time now = static_cast<Time>(step);
+    const double op = rng.uniform();
+    if (op < 0.25 && next_fresh < static_cast<PacketId>(pool.size())) {
+      router->on_generate(pool.get(next_fresh++));
+    } else if (op < 0.96 && next_fresh > 0) {
+      // Mostly a recent packet, so copies lost to an eviction or a crash
+      // are often stored again, under a new number.
+      const PacketId lo = rng.bernoulli(0.8) ? std::max<PacketId>(0, next_fresh - 12) : 0;
+      router->receive_copy(pool.get(rng.uniform_int(lo, next_fresh - 1)), PeerView(peer), 0, now);
+    } else if (op < 0.97 && next_fresh > 0) {
+      router->learn_ack(rng.uniform_int(0, next_fresh - 1), now);
+    } else if (op < 0.98) {
+      router->on_crash(true, now);
+    }
+    if (step == 3000) {
+      std::stringstream bytes;
+      BinWriter writer(bytes);
+      router->save_state(writer);
+      auto restored = make();
+      BinReader reader(bytes);
+      restored->load_state(reader);
+      restored->arrival = router->arrival;
+      restored->next_arrival = router->next_arrival;
+      checks_before_restore = router->checks;
+      router = std::move(restored);
+    }
+  }
+  EXPECT_GT(checks_before_restore, 1000);
+  EXPECT_GT(router->checks, 1000);  // drops after the restore, on a rebuilt queue
 }
 
 TEST_F(BaselinesTest, DirectOnlyDeliversToDestination) {

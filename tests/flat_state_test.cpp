@@ -20,6 +20,7 @@
 #include "dtn/router.h"
 #include "support/legacy_map_shim.h"
 #include "util/binio.h"
+#include "util/rng.h"
 
 namespace rapid {
 namespace {
@@ -141,33 +142,84 @@ TEST_F(EpochSkipTest, MarksResetAcrossContactsWithoutClearing) {
 TEST(AgeOrder, OrderIsIndependentOfInsertionAndRemovalHistory) {
   AgeOrder forward;
   AgeOrder scrambled;
+  Buffer live(-1);
+  std::vector<AgeOrder::Entry> scratch;
   // Same final membership via different histories (ties in `created` too).
   const std::vector<std::pair<Time, PacketId>> items = {
       {5.0, 1}, {1.0, 2}, {5.0, 3}, {0.5, 4}, {9.0, 5}, {1.0, 6}};
-  for (const auto& [t, id] : items) forward.insert(t, id);
+  for (const auto& [t, id] : items) {
+    forward.insert(t, id);
+    live.insert(id, 1);
+  }
   for (auto it = items.rbegin(); it != items.rend(); ++it) scrambled.insert(it->first, it->second);
   scrambled.insert(7.0, 99);
-  scrambled.remove(7.0, 99);  // swap-erase from the middle flips the dirty flag
+  scrambled.note_removal();  // 99 is not live: the read drops its entry
   forward.insert(7.0, 99);
-  forward.remove(7.0, 99);
-  EXPECT_EQ(forward.entries(), scrambled.entries());
+  forward.note_removal();
+  EXPECT_EQ(forward.entries(live, scratch), scrambled.entries(live, scratch));
   // (created, id) ascending — a total order.
-  const auto& e = forward.entries();
+  const auto& e = forward.entries(live, scratch);
   EXPECT_TRUE(std::is_sorted(e.begin(), e.end()));
   EXPECT_EQ(e.front(), (std::pair<Time, PacketId>{0.5, 4}));
   EXPECT_EQ(e.back(), (std::pair<Time, PacketId>{9.0, 5}));
 }
 
-TEST(AgeOrder, SwapRemoveMarksDirtyAndResortsLazily) {
+TEST(AgeOrder, RemovedEntriesNeverReadAndReinsertedOnesReadOnce) {
   AgeOrder order;
-  for (PacketId id = 0; id < 10; ++id) order.insert(static_cast<Time>(id), id);
-  EXPECT_FALSE(order.dirty());
-  order.remove(3.0, 3);  // middle removal → swap perturbs the tail
-  EXPECT_TRUE(order.dirty());
-  const auto& e = order.entries();  // read re-sorts
-  EXPECT_FALSE(order.dirty());
-  EXPECT_TRUE(std::is_sorted(e.begin(), e.end()));
-  EXPECT_EQ(e.size(), 9u);
+  Buffer live(-1);
+  std::vector<AgeOrder::Entry> scratch;
+  for (PacketId id = 0; id < 10; ++id) {
+    order.insert(static_cast<Time>(id), id);
+    live.insert(id, 1);
+  }
+  EXPECT_TRUE(order.clean());
+  live.erase(3);
+  order.note_removal();  // O(1): the entry stays until the next read
+  EXPECT_FALSE(order.clean());
+  EXPECT_EQ(order.size(), 10u);
+  for (int round = 0; round < 2; ++round) {  // 7 leaves and comes back twice
+    live.erase(7);
+    order.note_removal();
+    live.insert(7, 1);
+    order.insert(7.0, 7);
+  }
+  live.insert(10, 1);
+  order.insert(-1.0, 10);  // sorts before the whole prefix
+  live.erase(0);
+  order.note_removal();
+
+  const std::vector<AgeOrder::Entry> expected = {{-1.0, 10}, {1.0, 1}, {2.0, 2}, {4.0, 4},
+                                                 {5.0, 5},   {6.0, 6}, {7.0, 7}, {8.0, 8},
+                                                 {9.0, 9}};
+  EXPECT_EQ(order.entries(live, scratch), expected);
+  EXPECT_TRUE(order.clean());
+  EXPECT_EQ(order.size(), expected.size());
+}
+
+TEST(AgeOrder, HeavyRemovalAndReinsertionMatchesTheSortedBuffer) {
+  Rng rng(0xa6e0);
+  AgeOrder order;
+  Buffer live(-1);
+  std::vector<AgeOrder::Entry> scratch;
+  const auto created = [](PacketId id) { return static_cast<Time>((id * 7) % 13); };
+  int reads = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const PacketId id = rng.uniform_int(0, 39);
+    if (live.contains(id)) {
+      live.erase(id);
+      order.note_removal();
+    } else {
+      live.insert(id, 1);
+      order.insert(created(id), id);
+    }
+    if (!rng.bernoulli(0.1)) continue;
+    std::vector<AgeOrder::Entry> expected;
+    live.for_each([&](PacketId in, Bytes) { expected.emplace_back(created(in), in); });
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(order.entries(live, scratch), expected) << "step " << step;
+    ++reads;
+  }
+  EXPECT_GT(reads, 1000);
 }
 
 // --- Router's shared oldest-first order ---------------------------------------
@@ -244,6 +296,62 @@ TEST(RouterOldestFirst, FollowsEveryBufferMutationAndRestore) {
   EXPECT_EQ(restored.oldest_first(), sorted_buffer(restored, pool));
   EXPECT_EQ(restored.oldest_first(), router.oldest_first());
   EXPECT_EQ(restored.oldest_first().size(), 4u);
+}
+
+// Evicts a uniformly drawn buffered packet, so removals hit every position.
+class RandomAgeProbeRouter : public AgeProbeRouter {
+ public:
+  using AgeProbeRouter::AgeProbeRouter;
+  PacketId choose_drop_victim(const Packet&, Time) override { return random_victim(); }
+};
+
+TEST(RouterOldestFirst, RandomHistoryWithHeavyEvictionMatchesTheSortedBuffer) {
+  Rng rng(0x01de);
+  PacketPool pool;
+  for (int i = 0; i < 1500; ++i) {
+    Packet p;
+    p.src = 0;
+    p.dst = 3;
+    p.size = rng.uniform_int(1, 3) * 1_KB;
+    p.created = static_cast<Time>(rng.uniform_int(0, 49));  // many ties
+    pool.add(p);
+  }
+  SimContext ctx;
+  ctx.pool = &pool;
+  ctx.num_nodes = 4;
+  auto router = std::make_unique<RandomAgeProbeRouter>(0, 10_KB, &ctx);
+  AgeProbeRouter peer(1, Bytes{-1}, &ctx);
+  PacketId next_fresh = 0;
+  int reads = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const Time now = static_cast<Time>(step);
+    const double op = rng.uniform();
+    if (op < 0.3 && next_fresh < static_cast<PacketId>(pool.size())) {
+      router->on_generate(pool.get(next_fresh++));
+    } else if (op < 0.95 && next_fresh > 0) {
+      // Often a packet evicted earlier, stored again under the same key.
+      router->receive_copy(pool.get(rng.uniform_int(0, next_fresh - 1)), PeerView(peer), 0, now);
+    } else if (op < 0.97 && next_fresh > 0) {
+      router->learn_ack(rng.uniform_int(0, next_fresh - 1), now);
+    } else if (op < 0.975) {
+      router->on_crash(true, now);
+    }
+    if (step == 2500) {
+      std::stringstream bytes;
+      BinWriter writer(bytes);
+      router->save_state(writer);
+      auto restored = std::make_unique<RandomAgeProbeRouter>(0, 10_KB, &ctx);
+      BinReader reader(bytes);
+      restored->load_state(reader);
+      router = std::move(restored);
+    }
+    // Frequent reads first, then rare ones, so stale entries pile up.
+    if (!rng.bernoulli(step < 2000 ? 0.2 : 0.01)) continue;
+    ASSERT_EQ(router->oldest_first(), sorted_buffer(*router, pool)) << "step " << step;
+    ++reads;
+  }
+  EXPECT_GT(router->drops(), 1000u);
+  EXPECT_GT(reads, 300);
 }
 
 // --- GlobalChannel span regression --------------------------------------------
