@@ -33,8 +33,8 @@
 //
 // h-hop estimates are computed per *source* on demand (O(h·n·k)
 // single-source relaxation over k finite entries per row) and memoized
-// until the matrix changes; every mutation bumps a generation counter that
-// the utility cache (core/utility_cache.h) keys its delay estimates on.
+// until the matrix changes: every mutation bumps a generation counter, and a
+// memoized row computed at an older generation is recomputed on its next read.
 #pragma once
 
 #include <cstddef>
@@ -158,7 +158,7 @@ class MeetingMatrix {
   }
 
   // Bumped on every accepted mutation (observe_meeting, accepted merge_row);
-  // the utility cache keys meeting-time-dependent estimates on this.
+  // the hop-row memo below keys its rows on this.
   std::uint64_t generation() const { return generation_; }
 
   // Work probes, flushed into the run's registry by RapidRouter::flush_obs

@@ -144,7 +144,7 @@ void Contact::open() {
     used_a = std::min(a_.contact_begin(b_, meeting_.time, meta_budget), meta_budget);
     used_b = std::min(b_.contact_begin(a_, meeting_.time, meta_budget - used_a),
                       meta_budget - used_a);
-    if (config_.charge_metadata) budget_ab_ -= used_a + used_b;
+    budget_ab_ -= used_a + used_b;
   } else {
     // Directional budgets: each side's metadata rides its own uplink.
     budget_ab_ = static_cast<Bytes>(config_.link.forward_fraction *
@@ -164,19 +164,15 @@ void Contact::open() {
     }
     used_a = std::min(a_.contact_begin(b_, meeting_.time, meta_a), meta_a);
     used_b = std::min(b_.contact_begin(a_, meeting_.time, meta_b), meta_b);
-    if (config_.charge_metadata) {
-      budget_ab_ -= used_a;
-      budget_ba_ -= used_b;
-    }
+    budget_ab_ -= used_a;
+    budget_ba_ -= used_b;
   }
   stats_.metadata_bytes = used_a + used_b;
   metrics_.record_metadata(stats_.metadata_bytes);
   RAPID_OBS_ADD(kContactMetadataBytes, stats_.metadata_bytes);
 
-  if (effective_capacity >= 0) {
-    const Bytes charged_meta = config_.charge_metadata ? stats_.metadata_bytes : 0;
-    data_cutoff_ = std::max<Bytes>(0, effective_capacity - charged_meta);
-  }
+  if (effective_capacity >= 0)
+    data_cutoff_ = std::max<Bytes>(0, effective_capacity - stats_.metadata_bytes);
 }
 
 void Contact::charge_partial(bool from_a, const Packet& p, Bytes bytes) {

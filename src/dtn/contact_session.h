@@ -48,9 +48,6 @@ struct ContactConfig {
   // Cap on metadata as a fraction of the opportunity size (Fig 8 sweeps
   // this); negative = unlimited ("as much bandwidth ... as it requires").
   double metadata_cap_fraction = -1.0;
-  // When false the control channel is free (models the instant global
-  // channel of §6.2.3, whose cost is out of band).
-  bool charge_metadata = true;
   LinkPolicy link;
   // Byte-level link faults (src/fault): per-copy corruption with a loss
   // probability drawn per node pair, and metadata-channel degradation. All

@@ -32,8 +32,6 @@ const char* counter_name(Counter c) {
     case Counter::kMetaBytesRows: return "meta.bytes.rows";
     case Counter::kMetaBytesScalar: return "meta.bytes.scalar";
     case Counter::kMobilityPops: return "mobility.pops";
-    case Counter::kPoolSteals: return "pool.steals";
-    case Counter::kPoolSubmitted: return "pool.submitted";
     case Counter::kRouterDrops: return "router.drops";
     case Counter::kServiceContactsIngested: return "service.contacts_ingested";
     case Counter::kServiceQueries: return "service.queries";
@@ -54,7 +52,6 @@ const char* counter_name(Counter c) {
 
 const char* gauge_name(Gauge g) {
   switch (g) {
-    case Gauge::kPoolMaxQueueDepth: return "pool.max_queue_depth";
     case Gauge::kTraceEvents: return "trace.events";
     case Gauge::kUtilityTrackedPackets: return "utility.tracked_packets";
     case Gauge::kCount: break;

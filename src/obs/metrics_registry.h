@@ -47,8 +47,6 @@ enum class Counter : std::uint16_t {
   kMetaBytesRows,
   kMetaBytesScalar,
   kMobilityPops,
-  kPoolSteals,
-  kPoolSubmitted,
   kRouterDrops,
   kServiceContactsIngested,
   kServiceQueries,
@@ -68,7 +66,6 @@ enum class Counter : std::uint16_t {
 // Level samples kept as the maximum observed value: high-water marks such as
 // tracked-packet table sizes or trace-buffer occupancy.
 enum class Gauge : std::uint16_t {
-  kPoolMaxQueueDepth,
   kTraceEvents,
   kUtilityTrackedPackets,
   kCount

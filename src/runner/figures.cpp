@@ -5,6 +5,7 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "runner/parallel_for.h"
 #include "runner/profile_run.h"
 #include "runner/serve_run.h"
 
@@ -194,7 +195,7 @@ const FigureDef* find_figure(const std::string& id) {
 
 int thread_count(const Options& options) {
   const int threads = static_cast<int>(options.get_int("threads", 1));
-  return threads <= 0 ? ThreadPool::default_thread_count() : threads;
+  return threads <= 0 ? default_thread_count() : threads;
 }
 
 ScenarioConfig scenario_for(const FigureDef& fig, const Options& options) {

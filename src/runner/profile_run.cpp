@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,8 +11,8 @@
 #include "obs/obs.h"
 #include "obs/trace_export.h"
 #include "runner/figures.h"
+#include "runner/parallel_for.h"
 #include "runner/scenario_registry.h"
-#include "runner/thread_pool.h"
 #include "sim/experiment.h"
 
 namespace rapid::runner {
@@ -96,20 +95,10 @@ int run_observed_main(const Options& options) {
     // every exported artifact) are independent of thread count.
     std::vector<SimResult> results(static_cast<std::size_t>(total_runs));
     const int threads = thread_count(options);
-    PoolStats driver_stats;  // zeros when the runs execute serially
-    {
-      ThreadPool* pool = nullptr;
-      std::unique_ptr<ThreadPool> owned;
-      if (threads > 1) {
-        owned = std::make_unique<ThreadPool>(threads);
-        pool = owned.get();
-      }
-      parallel_for(pool, results.size(), [&](std::size_t r) {
-        const Instance inst = scenario.instance(static_cast<int>(r), load);
-        results[r] = run_instance(scenario, inst, spec);
-      });
-      if (pool != nullptr) driver_stats = pool->stats();
-    }
+    parallel_for(threads, results.size(), [&](std::size_t r) {
+      const Instance inst = scenario.instance(static_cast<int>(r), load);
+      results[r] = run_instance(scenario, inst, spec);
+    });
 
     // Per-run summary lines (the observability dump's anchor back to the
     // figure-level quantities).
@@ -146,9 +135,7 @@ int run_observed_main(const Options& options) {
       }
     }
 
-    // --metrics=PATH: per-run registry snapshots, stable key order, plus the
-    // driver's thread-pool scheduling stats (which depend on threads/timing
-    // and are deliberately kept outside the per-run sections).
+    // --metrics=PATH: per-run registry snapshots, stable key order.
     const std::string metrics_path = options.get_string("metrics", "");
     if (!metrics_path.empty() && metrics_path != "true") {
       std::string json = "{\n";
@@ -156,14 +143,6 @@ int run_observed_main(const Options& options) {
       json += "  \"protocol\": \"" + to_string(spec.protocol) + "\",\n";
       json += "  \"load\": " + std::to_string(load) + ",\n";
       json += "  \"threads\": " + std::to_string(threads) + ",\n";
-      json += "  \"pool\": {\n";
-      json += std::string("    \"") + obs::gauge_name(obs::Gauge::kPoolMaxQueueDepth) +
-              "\": " + std::to_string(driver_stats.max_queue_depth) + ",\n";
-      json += std::string("    \"") + obs::counter_name(obs::Counter::kPoolSteals) +
-              "\": " + std::to_string(driver_stats.steals) + ",\n";
-      json += std::string("    \"") + obs::counter_name(obs::Counter::kPoolSubmitted) +
-              "\": " + std::to_string(driver_stats.submitted) + "\n";
-      json += "  },\n";
       json += "  \"runs\": [\n";
       for (int r = 0; r < total_runs; ++r) {
         const SimResult& res = results[static_cast<std::size_t>(r)];

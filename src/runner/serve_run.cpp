@@ -260,8 +260,16 @@ int run_serve_main(const Options& options) {
       }
       if (feed_done) break;
       if (added == 0) {
-        if (!follow) feed_done = true;  // static file fully consumed
-        else std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        // Without --follow the file is read as complete: a feed that stops
+        // before `end` is a truncated trace, as it is to read_trace. The
+        // cursor leaves a final line without its newline unread, `end` too.
+        if (!follow)
+          throw std::runtime_error("trace " + trace_path +
+                                   " has no complete 'end' line (parsed to byte " +
+                                   std::to_string(engine->tail()->offset()) +
+                                   "): without --follow the file must be complete "
+                                   "and end with a newline");
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
     }
     for (; qi < queries.size(); ++qi) execute(driver, *engine, queries[qi]);

@@ -13,7 +13,8 @@ namespace rapid::runner {
 //   --trace=PATH          rapid-trace v1 contact file to tail (required); the
 //                         first day block is the live feed
 //   --follow              keep polling for appended lines until `end` arrives
-//                         (without it, a fully written file is read to EOF)
+//                         (without it, the file is read as complete, and one
+//                         without a newline-terminated `end` line is refused)
 //   --queries=PATH        query script: lines `at <time> delay|utility|replicas <id>`
 //                         or `at <time> stats`, times non-decreasing
 //   --snapshot-every=T    checkpoint every T simulated seconds

@@ -1,5 +1,7 @@
 #include "runner/sweep_executor.h"
 
+#include "runner/parallel_for.h"
+
 namespace rapid::runner {
 namespace {
 
@@ -11,7 +13,7 @@ struct Cell {
 
 // Flattens the grid, runs every cell (possibly in parallel), and scatters the
 // results back into series[spec].cells[x][run].
-std::vector<Series> execute_grid(ThreadPool* pool, const Scenario& scenario,
+std::vector<Series> execute_grid(int threads, const Scenario& scenario,
                                  const std::vector<double>& xs,
                                  const std::vector<RunSpec>& specs,
                                  const std::function<double(std::size_t)>& load_of_x,
@@ -30,7 +32,7 @@ std::vector<Series> execute_grid(ThreadPool* pool, const Scenario& scenario,
     for (std::size_t xi = 0; xi < xs.size(); ++xi)
       for (int run = 0; run < runs; ++run) cells.push_back({si, xi, run});
 
-  parallel_for(pool, cells.size(), [&](std::size_t i) {
+  parallel_for(threads, cells.size(), [&](std::size_t i) {
     const Cell& cell = cells[i];
     const RunSpec spec = spec_at_x(specs[cell.spec], cell.x);
     const Instance inst = scenario.instance(cell.run, load_of_x(cell.x));
@@ -42,19 +44,14 @@ std::vector<Series> execute_grid(ThreadPool* pool, const Scenario& scenario,
 
 }  // namespace
 
-SweepExecutor::SweepExecutor(int threads) {
-  if (threads != 1) pool_ = std::make_unique<ThreadPool>(threads);
-}
-
-SweepExecutor::~SweepExecutor() = default;
-
-int SweepExecutor::threads() const { return pool_ ? pool_->thread_count() : 1; }
+SweepExecutor::SweepExecutor(int threads)
+    : threads_(threads <= 0 ? default_thread_count() : threads) {}
 
 std::vector<Series> SweepExecutor::load_sweep(const Scenario& scenario,
                                               const std::vector<double>& loads,
                                               const std::vector<RunSpec>& specs) {
   return execute_grid(
-      pool_.get(), scenario, loads, specs,
+      threads_, scenario, loads, specs,
       [&](std::size_t xi) { return loads[xi]; },
       [](const RunSpec& spec, std::size_t) { return spec; });
 }
@@ -66,7 +63,7 @@ std::vector<Series> SweepExecutor::buffer_sweep(const Scenario& scenario, double
   xs.reserve(buffers.size());
   for (Bytes b : buffers) xs.push_back(static_cast<double>(b) / 1024.0);  // KB axis
   return execute_grid(
-      pool_.get(), scenario, xs, specs, [&](std::size_t) { return load; },
+      threads_, scenario, xs, specs, [&](std::size_t) { return load; },
       [&](const RunSpec& spec, std::size_t xi) {
         RunSpec with_buffer = spec;
         with_buffer.buffer_override = buffers[xi];

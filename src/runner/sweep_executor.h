@@ -1,5 +1,5 @@
 // Parallel sweep execution: fans the (protocol × x-value × run) cells of a
-// sweep grid out across a work-stealing thread pool.
+// sweep grid out across threads with runner::parallel_for.
 //
 // Every cell derives all of its randomness from the scenario seed via
 // Rng::split (mobility, workload, and router state are rebuilt per cell), so
@@ -8,25 +8,17 @@
 // into pre-sized slots indexed by (spec, x, run).
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "runner/thread_pool.h"
 #include "sim/experiment.h"
 
 namespace rapid::runner {
 
 class SweepExecutor {
  public:
-  // threads == 1 executes serially on the calling thread (no pool);
-  // threads <= 0 uses ThreadPool::default_thread_count().
+  // threads == 1 executes serially on the calling thread;
+  // threads <= 0 uses default_thread_count().
   explicit SweepExecutor(int threads = 1);
-  ~SweepExecutor();
-
-  SweepExecutor(const SweepExecutor&) = delete;
-  SweepExecutor& operator=(const SweepExecutor&) = delete;
-
-  int threads() const;
 
   // One Series per spec, same shape as sim/experiment.h's sweep_load.
   std::vector<Series> load_sweep(const Scenario& scenario,
@@ -40,7 +32,7 @@ class SweepExecutor {
                                    const std::vector<RunSpec>& specs);
 
  private:
-  std::unique_ptr<ThreadPool> pool_;  // null when threads == 1
+  int threads_;
 };
 
 }  // namespace rapid::runner

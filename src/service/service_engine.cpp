@@ -201,7 +201,7 @@ std::uint64_t ServiceEngine::config_fingerprint() const {
   // with the same contacts, so they are part of the config identity too.
   const ContactConfig& contact = config_.sim.contact;
   mix_f(contact.metadata_cap_fraction);
-  mix(contact.charge_metadata ? 1 : 0);
+  mix(1);  // metadata is always charged; the constant keeps saved fingerprints valid
   mix_f(contact.link.interruption_rate);
   mix_f(contact.link.min_completion);
   mix_f(contact.link.max_completion);

@@ -248,7 +248,6 @@ SimResult run_instance(const Scenario& scenario, const Instance& instance,
 
   SimConfig sim;
   sim.contact.metadata_cap_fraction = spec.metadata_cap_fraction;
-  sim.contact.charge_metadata = true;
   sim.contact.link = scenario.config().link;
   sim.contact.link.seed ^= instance.link_seed;  // per-run interruption stream
   sim.contact.fault = scenario.config().link_fault;

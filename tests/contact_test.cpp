@@ -170,21 +170,6 @@ TEST_F(ContactTest, MetadataCapFractionLimitsExchange) {
   EXPECT_LE(stats.metadata_bytes, 1_KB);
 }
 
-TEST_F(ContactTest, UnchargedMetadataLeavesBudget) {
-  init(3, -1, -1);
-  x_->metadata_to_send = 5_KB;
-  const PacketId id = make_packet(0, 2, 1_KB);
-  x_->buffer().insert(id, 1_KB);
-  x_->script.push_back(id);
-  begin_metrics();
-  const Meeting m{0, 1, 1.0, 5_KB + 512};
-  ContactConfig config;
-  config.charge_metadata = false;  // global-channel style accounting
-  const auto stats = run_contact(*x_, *y_, m, 0, config, pool_, metrics_);
-  EXPECT_EQ(stats.metadata_bytes, 5_KB);
-  EXPECT_EQ(stats.transfers, 1);  // data budget untouched by metadata
-}
-
 TEST_F(ContactTest, RejectionConsumesBandwidthAndSkips) {
   init(3, -1, 1_KB);  // y can hold exactly one packet
   std::vector<PacketId> ids;

@@ -64,7 +64,6 @@ std::unique_ptr<Simulation> make_streamed(const Scenario& scenario, const Instan
   const RouterFactory factory =
       make_protocol_factory(kind, params, scenario.config().buffer_capacity);
   SimConfig sim;
-  sim.contact.charge_metadata = true;
   sim.contact.link = scenario.config().link;
   sim.contact.link.seed ^= instance.link_seed;
   auto simulation = std::make_unique<Simulation>(

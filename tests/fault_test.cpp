@@ -249,7 +249,6 @@ TEST(FaultSim, CorruptionChargesTheChannelWithoutDelivering) {
 TEST(FaultSim, MetadataDegradationStarvesTheControlPlane) {
   const SmallWorld world = make_world(34);
   SimConfig base;
-  base.contact.charge_metadata = true;
   const SimResult clean = run_simulation(world.schedule, world.workload,
                                          factory_for(ProtocolKind::kRapid), base);
   SimConfig degraded = base;

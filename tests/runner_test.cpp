@@ -1,4 +1,4 @@
-// Tests for the parallel experiment-runner subsystem: thread pool behavior,
+// Tests for the parallel experiment-runner subsystem: parallel_for behavior,
 // bit-identical parallel sweeps, the scenario registry, result aggregation,
 // and the NaN guards in the summarize helpers.
 #include <gtest/gtest.h>
@@ -8,13 +8,14 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/rapid_router.h"
 #include "runner/figures.h"
+#include "runner/parallel_for.h"
 #include "runner/result_store.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep_executor.h"
-#include "runner/thread_pool.h"
 #include "sim/experiment.h"
 #include "sim/protocols.h"
 #include "sim/simulation.h"
@@ -51,32 +52,28 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
     EXPECT_EQ(a.delivery_time[i], b.delivery_time[i]) << "packet " << i;
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  runner::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
+TEST(ParallelFor, CoversEachIndexOnce) {
+  // More indices than threads, more threads than indices, and no indices.
+  for (const auto& [threads, n] : {std::pair{3, 57}, std::pair{8, 2}, std::pair{4, 0}}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    runner::parallel_for(threads, hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "threads " << threads << ", index " << i;
+  }
 }
 
-TEST(ThreadPool, ParallelForCoversEachIndexOnce) {
-  runner::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(57);
-  runner::parallel_for(&pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(ParallelFor, SerialInIndexOrderWithOneThread) {
+  for (int threads : {1, 0, -2}) {
+    std::vector<int> order;
+    runner::parallel_for(threads, 5, [&](std::size_t i) {
+      order.push_back(static_cast<int>(i));
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4})) << "threads " << threads;
+  }
 }
 
-TEST(ThreadPool, ParallelForSerialWithoutPool) {
-  std::vector<int> order;
-  runner::parallel_for(nullptr, 5, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-  runner::ThreadPool pool(2);
-  EXPECT_THROW(runner::parallel_for(&pool, 8,
+TEST(ParallelFor, PropagatesExceptions) {
+  EXPECT_THROW(runner::parallel_for(2, 8,
                                     [](std::size_t i) {
                                       if (i == 3) throw std::runtime_error("boom");
                                     }),
@@ -356,7 +353,6 @@ SimResult expect_rate_memo_matches_reference(const std::string& scenario_name,
   const Bytes buffer = buffer_override != -2 ? buffer_override : config.buffer_capacity;
   const RouterFactory factory = make_protocol_factory(ProtocolKind::kRapid, params, buffer);
   SimConfig sim_config;
-  sim_config.contact.charge_metadata = true;
   sim_config.contact.link = config.link;
   sim_config.contact.link.seed ^= inst.link_seed;  // mirror run_instance
   Simulation sim(inst.schedule, inst.workload, factory, sim_config);

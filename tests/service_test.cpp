@@ -15,7 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "mobility/trace_io.h"
+#include "runner/serve_run.h"
 #include "service/service_engine.h"
+#include "util/strings.h"
 
 namespace rapid {
 namespace {
@@ -232,6 +235,39 @@ TEST(ServiceEngine, TailedFileFeedsTheEngine) {
   for (const ContactEvent& c : tiny_contacts()) pushed.ingest(c);
   pushed.advance_to(600);
   expect_same_result(tailed.report(), pushed.report());
+}
+
+// `rapid_bench serve` without --follow reads the trace as a complete file. A
+// feed that stops before `end` (no `end` line, and the last meet line lacks
+// its newline) is refused, as read_trace refuses it, instead of being served
+// one meeting short.
+TEST(ServiceEngine, ServeWithoutFollowRejectsATraceThatStopsBeforeEnd) {
+  const std::string trace = testing::TempDir() + "/service_serve_truncated.txt";
+  const std::string body =
+      "rapid-trace v1\nfleet 4\nday 600 active 0 1 2 3\n"
+      "meet 0 1 60 32768\nmeet 1 2 120 32768";
+  std::ofstream(trace, std::ios::trunc | std::ios::binary) << body;
+  std::istringstream whole(body);
+  EXPECT_THROW(read_trace(whole), std::runtime_error);
+
+  const char* argv[] = {"rapid_bench", "serve"};
+  Options options(2, const_cast<char**>(argv));
+  options.set("trace", trace);
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int truncated_exit = runner::run_serve_main(options);
+  testing::internal::GetCapturedStdout();
+  const std::string error = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(truncated_exit, 1);
+  EXPECT_NE(error.find("has no complete 'end' line"), std::string::npos) << error;
+
+  // Completing the file serves both meetings.
+  std::ofstream(trace, std::ios::app | std::ios::binary) << "\nend\n";
+  testing::internal::CaptureStdout();
+  const int complete_exit = runner::run_serve_main(options);
+  const std::string output = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(complete_exit, 0);
+  EXPECT_NE(output.find("meetings=2"), std::string::npos) << output;
 }
 
 // Freezes snapshot format v2 (CRC32-footed RSNP): any byte-level change to

@@ -8,9 +8,10 @@
 // matrices, MaxProp's likelihood vectors, Spray&Wait's copy counts and every
 // buffer and RNG stream all have to come back precisely.
 //
-// A second pass repeats the straight runs on a thread pool: results are
-// independent of the thread count, so `rapid_bench serve` pipelines driven
-// under --threads N restore identically to serial ones.
+// A second pass repeats the straight runs on four threads with
+// runner::parallel_for: results are independent of the thread count, so
+// `rapid_bench serve` pipelines driven under --threads N restore identically
+// to serial ones.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "dtn/workload.h"
-#include "runner/thread_pool.h"
+#include "runner/parallel_for.h"
 #include "service/service_engine.h"
 #include "util/rng.h"
 
@@ -169,9 +170,8 @@ TEST(SnapshotMatrix, ResultsAreIndependentOfThreadCount) {
   for (std::size_t i = 0; i < all_protocols().size(); ++i)
     serial[i] = straight_run(all_protocols()[i], "serial_" + std::to_string(i));
 
-  runner::ThreadPool pool(4);
   std::vector<RunOutput> threaded(all_protocols().size());
-  runner::parallel_for(&pool, all_protocols().size(), [&](std::size_t i) {
+  runner::parallel_for(4, all_protocols().size(), [&](std::size_t i) {
     threaded[i] = straight_run(all_protocols()[i], "threaded_" + std::to_string(i));
   });
 

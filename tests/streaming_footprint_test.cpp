@@ -43,7 +43,6 @@ RunFootprint direct_run_footprint(const Scenario& scenario, const Instance& inst
   const std::size_t before = live_heap_bytes();
   std::size_t peak = before;
   SimConfig config;
-  config.contact.charge_metadata = true;
   config.contact.link = scenario.config().link;
   config.contact.link.seed ^= instance.link_seed;
   const RouterFactory factory = make_protocol_factory(
@@ -108,7 +107,6 @@ TEST(StreamingFootprint, RapidStateIsSparseInFleetSize) {
   const Scenario scenario(config);
   const Instance instance = scenario.instance(0, 0.02);
   SimConfig sim_config;
-  sim_config.contact.charge_metadata = true;
   sim_config.contact.link = config.link;
   sim_config.contact.link.seed ^= instance.link_seed;
   const RouterFactory factory = make_protocol_factory(

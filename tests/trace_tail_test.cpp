@@ -2,12 +2,13 @@
 // Covers the two failure modes a naive tailer gets wrong — a writer caught
 // mid-line (the partial line must stay pending, whole) and appends between
 // polls (the cursor must resume at its saved offset) — plus the strict
-// line-numbered rejection of malformed input and snapshot/restore of the
-// parse progress.
+// line-numbered rejection of malformed input (the same errors read_trace
+// raises) and snapshot/restore of the parse progress.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mobility/trace_io.h"
@@ -116,6 +117,51 @@ TEST_F(TraceTailTest, RejectsNonMonotonicMeetTimes) {
   TraceTailCursor cursor(path_);
   std::vector<Meeting> out;
   EXPECT_THROW(cursor.poll(out), std::runtime_error);
+}
+
+// The tail parser mirrors read_trace: every single-day input read_trace
+// rejects, the cursor rejects with the same message and line number.
+TEST_F(TraceTailTest, RejectsWhatReadTraceRejectsWithTheSameError) {
+  struct Case {
+    const char* name;
+    const char* body;
+  };
+  const Case cases[] = {
+      {"out-of-range meeting node",
+       "rapid-trace v1\nfleet 4\nday 100 active 0 1\nmeet 0 9 5 10\nend\n"},
+      {"out-of-range active bus", "rapid-trace v1\nfleet 4\nday 100 active 0 7\nend\n"},
+      {"unknown keyword", "rapid-trace v1\nfleet 4\nbogus 1 2 3\n"},
+      {"trailing garbage after meet",
+       "rapid-trace v1\nfleet 4\nday 100 active 0 1\nmeet 0 1 5 10 extra\nend\n"},
+      {"trailing garbage after fleet", "rapid-trace v1\nfleet 4 surplus\n"},
+      {"garbage in the active list",
+       "rapid-trace v1\nfleet 4\nday 100 active 0 1 bogus\nmeet 0 1 5 10\nend\n"},
+      {"truncated meet", "rapid-trace v1\nfleet 4\nday 100 active 0 1\nmeet 0 1 5\nend\n"},
+      {"duplicate fleet", "rapid-trace v1\nfleet 4\nfleet 6\n"},
+      {"day before fleet", "rapid-trace v1\nday 100 active 0 1\nend\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string expected;
+    try {
+      std::istringstream is(c.body);
+      read_trace(is);
+    } catch (const std::runtime_error& e) {
+      expected = e.what();
+    }
+    ASSERT_NE(expected.find("line "), std::string::npos) << "read_trace accepted the input";
+
+    std::ofstream(path_, std::ios::trunc | std::ios::binary) << c.body;
+    TraceTailCursor cursor(path_);
+    std::vector<Meeting> out;
+    std::string actual;
+    try {
+      cursor.poll(out);
+    } catch (const std::runtime_error& e) {
+      actual = e.what();
+    }
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST_F(TraceTailTest, SaveLoadResumesAtTheExactOffset) {
