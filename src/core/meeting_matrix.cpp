@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -304,34 +305,25 @@ Time MeetingMatrix::expected_meeting_time(NodeId from, NodeId to) const {
 
 void MeetingMatrix::save(BinWriter& out) const {
   out.tag("MMTX");
-  out.u64(generation_);
-  const auto n = static_cast<std::size_t>(num_nodes_);
-  for (std::size_t u = 0; u < n; ++u) out.f64(stamps_[u]);
-  // Per-peer records in the dense layout: zero for peers never met.
-  std::size_t next = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    const bool met = next < peers_.size() && peers_[next].peer == static_cast<NodeId>(u);
-    out.f64(met ? peers_[next++].last_met : 0.0);
+  out.u64(peers_.size());
+  for (const PeerStat& stat : peers_) {
+    out.u32(static_cast<std::uint32_t>(stat.peer));
+    out.i64(stat.count);
+    out.f64(stat.last_met);
   }
-  next = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    const bool met = next < peers_.size() && peers_[next].peer == static_cast<NodeId>(u);
-    out.i64(met ? peers_[next++].count : 0);
-  }
-  for (std::size_t u = 0; u < n; ++u) {
+  out.u64(static_cast<std::uint64_t>(
+      std::count_if(rows_.begin(), rows_.end(), [](const RowPtr& v) { return v != nullptr; })));
+  for (std::size_t u = 0; u < rows_.size(); ++u) {
     const RowPtr& v = rows_[u];
-    if (v == nullptr) {
-      out.u8(0);
-      continue;
-    }
-    out.u8(1);
+    if (v == nullptr) continue;
+    out.u32(static_cast<std::uint32_t>(u));
     std::uint64_t id = 0;
     if (out.intern(v.get(), id)) {
       out.f64(v->stamp);
-      std::uint32_t cell = 0;
-      for (std::size_t c = 0; c < n; ++c) {
-        const bool finite = cell < v->count && v->cols()[cell] == static_cast<NodeId>(c);
-        out.f64(finite ? v->vals()[cell++] : kTimeInfinity);
+      out.u64(v->count);
+      for (std::uint32_t i = 0; i < v->count; ++i) {
+        out.u32(static_cast<std::uint32_t>(v->cols()[i]));
+        out.f64(v->vals()[i]);
       }
     }
   }
@@ -339,35 +331,45 @@ void MeetingMatrix::save(BinWriter& out) const {
 
 void MeetingMatrix::load(BinReader& in) {
   in.expect_tag("MMTX");
-  generation_ = in.u64();
-  hop_rows_.clear();  // memoized at generations of the state being replaced
-  const auto n = static_cast<std::size_t>(num_nodes_);
-  for (std::size_t u = 0; u < n; ++u) stamps_[u] = in.f64();
-  std::vector<Time> last_met(n);
-  for (std::size_t u = 0; u < n; ++u) last_met[u] = in.f64();
   peers_.clear();
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto count = static_cast<int>(in.i64());
-    if (count != 0) peers_.push_back(PeerStat{static_cast<NodeId>(u), count, last_met[u]});
+  const std::uint64_t peers = in.count_at_most(num_nodes_, "peer");
+  for (NodeId peer = -1; peers_.size() < peers;) {
+    peer = in.ascending_id(peer, num_nodes_, "peer");
+    if (peer == owner_) BinReader::fail("the owner listed as its own peer");
+    const std::int64_t count = in.i64();
+    if (count < 1 || count > std::numeric_limits<int>::max())
+      BinReader::fail("peer meeting count out of range");
+    peers_.push_back(PeerStat{peer, static_cast<int>(count), in.f64()});
   }
-  // The reader's interning table holds shared_ptr<void>; each entry owns a
-  // handle on the version, so a later matrix in the snapshot re-shares it.
-  std::vector<Time> dense(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    if (in.u8() == 0) {
-      rows_[u] = nullptr;
-      continue;
-    }
+  rows_.assign(rows_.size(), nullptr);
+  std::fill(stamps_.begin(), stamps_.end(), -kTimeInfinity);
+  const std::uint64_t learnt = in.count_at_most(num_nodes_, "row");
+  NodeId u = -1;
+  for (std::uint64_t i = 0; i < learnt; ++i) {
+    u = in.ascending_id(u, num_nodes_, "row node");
+    RowPtr& slot = rows_[static_cast<std::size_t>(u)];
+    // The reader's interning table holds shared_ptr<void>; each entry owns a
+    // handle on the version, so a later matrix in the snapshot re-shares it.
     const std::uint64_t id = in.intern_id();
     if (std::shared_ptr<void> known = in.interned(id)) {
-      rows_[u] = *std::static_pointer_cast<const RowPtr>(known);
-      continue;
+      slot = *std::static_pointer_cast<const RowPtr>(known);
+    } else {
+      const Time stamp = in.f64();
+      const auto count = static_cast<std::uint32_t>(in.count_at_most(num_nodes_, "row entry"));
+      slot = make_row(count, stamp);
+      RowVersion& row = *slot.p_;
+      for (NodeId col = -1; row.count < count; ++row.count) {
+        col = in.ascending_id(col, num_nodes_, "row column");
+        row.cols()[row.count] = col;
+        row.vals()[row.count] = in.f64();
+      }
+      in.register_interned(id, std::make_shared<RowPtr>(slot));
     }
-    const Time stamp = in.f64();
-    for (std::size_t c = 0; c < n; ++c) dense[c] = in.f64();
-    rows_[u] = row_from_dense(dense, stamp);
-    in.register_interned(id, std::make_shared<RowPtr>(rows_[u]));
+    stamps_[static_cast<std::size_t>(u)] = slot->stamp;
   }
+  // The generation only keys the hop-row memo, which restores cold.
+  generation_ = 0;
+  hop_rows_.clear();
 }
 
 }  // namespace rapid

@@ -157,8 +157,8 @@ class MeetingMatrix {
     return v == nullptr ? 0 : static_cast<int>(v->count);
   }
 
-  // Bumped on every accepted mutation (observe_meeting, accepted merge_row);
-  // the hop-row memo below keys its rows on this.
+  // Bumped on every accepted mutation (observe_meeting, accepted merge_row)
+  // and reset to 0 by load(); the hop-row memo below keys its rows on this.
   std::uint64_t generation() const { return generation_; }
 
   // Work probes, flushed into the run's registry by RapidRouter::flush_obs
@@ -170,21 +170,20 @@ class MeetingMatrix {
   };
   const Stats& stats() const { return stats_; }
 
-  // Snapshot/restore. The format keeps the dense layout: per-node stamps,
-  // last meeting times and meeting counts, then each row as n values with
-  // infinity for absent columns. Shared RowVersions are serialized once
-  // through the writer's interning table and re-shared on load, so the
-  // gossip sharing graph (and therefore the clone-vs-edit-in-place
-  // decisions of observe_meeting) replays exactly. load() rebuilds the
-  // sparse rows and the per-peer list from the dense layout and clears the
-  // h-hop memo, which refills from identical inputs.
+  // Snapshot/restore of what the matrix holds: the per-peer records, then
+  // each learnt row as (node, intern id[, stamp, (column, value) entries]),
+  // ids ascending. Shared RowVersions are written once through the interning
+  // table and re-shared on load, so the gossip sharing graph (and with it
+  // observe_meeting's clone-vs-edit decisions) replays exactly. load()
+  // derives the stamps, restarts the generation at 0, clears the h-hop memo
+  // and throws std::runtime_error on unsorted or out-of-range ids.
   void save(BinWriter& out) const;
   void load(BinReader& in);
 
  private:
   // A fresh, unshared version with room for `capacity` entries.
   static RowPtr make_row(std::uint32_t capacity, Time stamp);
-  // A fresh version holding the finite cells of a dense row (column = index).
+  // A fresh version from a dense row (column = index), for tests' merge_row.
   static RowPtr row_from_dense(const std::vector<Time>& dense, Time stamp);
 
   NodeId owner_;
@@ -193,6 +192,7 @@ class MeetingMatrix {
   // rows_[u] = u's averaged-meeting-time row, as most recently learnt.
   // Null = nothing learnt about u yet (treated as all-infinity).
   std::vector<RowPtr> rows_;
+  // rows_[u]->stamp, or -infinity where nothing was learnt; not snapshotted.
   std::vector<Time> stamps_;
   // The owner's direct meetings, one record per peer met, sorted by peer.
   struct PeerStat {

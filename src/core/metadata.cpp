@@ -91,13 +91,11 @@ Bytes MetadataStore::record_bytes(const PacketMetadata& meta) {
 
 void MetadataStore::save(BinWriter& out) const {
   out.tag("META");
-  out.u64(next_generation_);
   out.u64(occupied_.size());
   for (std::size_t i = 0; i < occupied_.size(); ++i) {
     const PacketMetadata& meta = records_[i];
     out.i64(occupied_[i]);
     out.f64(meta.last_changed);
-    out.u64(meta.generation);
     out.u64(meta.replicas.size());
     for (const ReplicaEstimate& r : meta.replicas) {
       out.i64(r.holder);
@@ -109,7 +107,7 @@ void MetadataStore::save(BinWriter& out) const {
 
 void MetadataStore::load(BinReader& in) {
   in.expect_tag("META");
-  next_generation_ = in.u64();
+  next_generation_ = 0;  // generations only key the replica-rate memo, which restores cold
   const std::uint64_t count = in.u64();
   records_.clear();
   occupied_.clear();
@@ -120,7 +118,7 @@ void MetadataStore::load(BinReader& in) {
     if (id < 0) BinReader::fail("negative packet id in metadata record");
     PacketMetadata meta;
     meta.last_changed = in.f64();
-    meta.generation = in.u64();
+    meta.generation = ++next_generation_;
     const std::uint64_t replicas = in.u64();
     meta.replicas.reserve(replicas);
     for (std::uint64_t j = 0; j < replicas; ++j) {

@@ -36,8 +36,8 @@ struct PacketMetadata {
   std::vector<ReplicaEstimate> replicas;
   Time last_changed = -kTimeInfinity;
   // Store-unique version of this record, assigned from a monotonic counter
-  // on every accepted change; the utility cache keys replica-rate sums on it
-  // (a bump marks exactly this packet's cached rate dirty).
+  // on every accepted change and on load; the utility cache keys replica-rate
+  // sums on it (a bump marks exactly this packet's cached rate dirty).
   std::uint64_t generation = 0;
 };
 
@@ -110,8 +110,8 @@ class MetadataStore {
 
   // Snapshot/restore: serializes the packed record order exactly (it drives
   // the changed_since output order, whose stable-sort tie-break is
-  // behavioral) along with every stamp and generation, so a restored store
-  // is indistinguishable from the original.
+  // behavioral) and every stamp, but no generation: load() numbers the
+  // records afresh, and the memo they key restores cold.
   void save(BinWriter& out) const;
   void load(BinReader& in);
 

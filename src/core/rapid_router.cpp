@@ -535,20 +535,17 @@ void RapidRouter::save_state(BinWriter& out) {
   out.tag("RAPD");
   matrix_.save(out);
   meta_.save(out);
-  // Per-peer links in the dense layout: defaults for peers never met.
-  const auto n = static_cast<NodeId>(link_slot_.size());
-  for (NodeId u = 0; u < n; ++u) {
-    const PeerLink* link = find_link(u);
-    out.f64(link != nullptr ? link->last_sync : -kTimeInfinity);
-  }
   out.f64(avg_opportunity_.value());
   out.u64(avg_opportunity_.count());
-  const MovingAverage none;
-  for (NodeId u = 0; u < n; ++u) {
-    const PeerLink* link = find_link(u);
-    const MovingAverage& m = link != nullptr ? link->opportunity : none;
-    out.f64(m.value());
-    out.u64(m.count());
+  // One record per peer met, ascending by peer.
+  out.u64(links_.size());
+  for (std::size_t u = 0; u < link_slot_.size(); ++u) {
+    if (link_slot_[u] < 0) continue;
+    const PeerLink& link = links_[static_cast<std::size_t>(link_slot_[u])];
+    out.u32(static_cast<std::uint32_t>(u));
+    out.f64(link.last_sync);
+    out.f64(link.opportunity.value());
+    out.u64(link.opportunity.count());
   }
   out.u8(global_ != nullptr ? 1 : 0);
   if (global_ != nullptr) {
@@ -564,21 +561,20 @@ void RapidRouter::load_state(BinReader& in) {
   in.expect_tag("RAPD");
   matrix_.load(in);
   meta_.load(in);
-  links_.clear();
-  std::fill(link_slot_.begin(), link_slot_.end(), -1);
-  const auto n = static_cast<NodeId>(link_slot_.size());
-  for (NodeId u = 0; u < n; ++u) {
-    const Time t = in.f64();
-    if (t != -kTimeInfinity) link_for(u).last_sync = t;
-  }
   {
     const double value = in.f64();
     avg_opportunity_.restore(value, in.u64());
   }
-  for (NodeId u = 0; u < n; ++u) {
+  links_.clear();
+  std::fill(link_slot_.begin(), link_slot_.end(), -1);
+  const std::uint64_t links = in.count_at_most(link_slot_.size(), "peer link");
+  for (NodeId peer = -1; links_.size() < links;) {
+    peer = in.ascending_id(peer, static_cast<NodeId>(link_slot_.size()), "peer link");
+    if (peer == self()) BinReader::fail("a router linked to itself");
+    PeerLink& link = link_for(peer);
+    link.last_sync = in.f64();
     const double value = in.f64();
-    const std::uint64_t count = in.u64();
-    if (count != 0 || value != 0.0) link_for(u).opportunity.restore(value, count);
+    link.opportunity.restore(value, in.u64());
   }
   const bool had_global = in.u8() != 0;
   if (had_global != (global_ != nullptr))

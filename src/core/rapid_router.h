@@ -89,10 +89,12 @@ class RapidRouter : public Router {
   void flush_obs(obs::ObsContext& out) const override;
 
   // Snapshot/restore: meeting matrix (with shared row versions interned),
-  // metadata ledger, sync stamps, opportunity averages and — in global-oracle
-  // mode — the shared channel, serialized once by whichever router saves
-  // first. The utility cache restores cold and refills from identical inputs
-  // (a memoized sum is bit-identical to a fresh one by contract).
+  // metadata ledger, opportunity averages, one record per peer met (peers
+  // ascending; load_state throws std::runtime_error on any other order) and
+  // — in global-oracle mode — the shared channel, serialized once by
+  // whichever router saves first. The utility cache restores cold and
+  // refills from identical inputs (a memoized sum is bit-identical to a
+  // fresh one by contract).
   void save_state(BinWriter& out) override;
   void load_state(BinReader& in) override;
 
@@ -135,8 +137,8 @@ class RapidRouter : public Router {
   std::shared_ptr<GlobalChannel> global_;
   MovingAverage avg_opportunity_;  // all peers
   // What this router keeps about each peer it has met: the last metadata
-  // sync and the running transfer-opportunity size. Packed in order of first
-  // contact and reached through a direct slot index, because
+  // sync and the running transfer-opportunity size. Packed (in an order
+  // nothing reads) and reached through a direct slot index, because
   // expected_opportunity runs on every utility evaluation.
   struct PeerLink {
     Time last_sync = -kTimeInfinity;  // -inf = never synced

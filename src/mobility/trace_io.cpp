@@ -215,7 +215,7 @@ void TraceTailCursor::parse_line(const std::string& line) {
   }
 }
 
-std::size_t TraceTailCursor::poll(std::vector<Meeting>& out) {
+std::size_t TraceTailCursor::poll(std::vector<Meeting>& out, bool file_complete) {
   std::ifstream f(path_, std::ios::binary);
   if (!f) {
     // A file we have read from before that suddenly refuses to open is most
@@ -251,12 +251,13 @@ std::size_t TraceTailCursor::poll(std::vector<Meeting>& out) {
   out_ = &out;
   std::string line;
   while (std::getline(f, line)) {
-    // A final line without its newline is a writer mid-append: leave it for
-    // the next poll, whole. getline only sets eofbit (without failbit) when
-    // it stopped at end-of-file rather than at a delimiter.
-    if (f.eof()) break;
+    // A final line without its newline is a writer mid-append, left whole for
+    // the next poll unless the file is complete. getline sets eofbit (without
+    // failbit) only when it stopped at end-of-file, not at a delimiter.
+    const bool unterminated = f.eof();
+    if (unterminated && !file_complete) break;
     ++line_no_;
-    offset_ += static_cast<std::uint64_t>(line.size()) + 1;
+    offset_ += static_cast<std::uint64_t>(line.size()) + (unterminated ? 0 : 1);
     try {
       parse_line(line);
     } catch (...) {

@@ -60,10 +60,12 @@ class TraceTailCursor {
 
   // Parses everything complete and new, appending meetings to `out` in file
   // (= time) order; returns how many were appended. Non-blocking: returns 0
-  // when nothing complete arrived. Throws std::runtime_error on malformed
-  // input or when the file cannot be opened (subject to the bounded
-  // transient-failure retry above).
-  std::size_t poll(std::vector<Meeting>& out);
+  // when nothing complete arrived. A final line without its newline is a
+  // writer mid-append and waits for the next poll, unless the caller knows
+  // the writer is done (`file_complete`), as read_trace does. Throws
+  // std::runtime_error on malformed input or when the file cannot be opened
+  // (subject to the bounded transient-failure retry above).
+  std::size_t poll(std::vector<Meeting>& out, bool file_complete = false);
 
   const std::string& path() const { return path_; }
   // Byte offset of the first unparsed content (resume point).

@@ -83,7 +83,7 @@ TraceHeader scan_header(const std::string& path, bool follow) {
   TraceTailCursor cursor(path);
   std::vector<Meeting> sink;
   while (true) {
-    cursor.poll(sink);
+    cursor.poll(sink, !follow);
     if (cursor.fleet() > 0 && cursor.day_duration() > 0)
       return {cursor.fleet(), cursor.day_duration(), cursor.active_buses()};
     if (!follow)
@@ -248,7 +248,7 @@ int run_serve_main(const Options& options) {
     std::size_t qi = 0;
     bool feed_done = !engine->tailing();
     while (!feed_done) {
-      const std::size_t added = engine->poll_tail();
+      const std::size_t added = engine->poll_tail(!follow);
       if (engine->tail()->finished()) feed_done = true;
       // A query at time t is safe once every contact before t has certainly
       // arrived: ingest times are monotonic, so anything strictly below the
@@ -261,14 +261,12 @@ int run_serve_main(const Options& options) {
       if (feed_done) break;
       if (added == 0) {
         // Without --follow the file is read as complete: a feed that stops
-        // before `end` is a truncated trace, as it is to read_trace. The
-        // cursor leaves a final line without its newline unread, `end` too.
+        // before `end` is a truncated trace, as it is to read_trace.
         if (!follow)
           throw std::runtime_error("trace " + trace_path +
                                    " has no complete 'end' line (parsed to byte " +
                                    std::to_string(engine->tail()->offset()) +
-                                   "): without --follow the file must be complete "
-                                   "and end with a newline");
+                                   "): without --follow the file must be complete");
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
     }

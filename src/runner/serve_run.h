@@ -14,7 +14,7 @@ namespace rapid::runner {
 //                         first day block is the live feed
 //   --follow              keep polling for appended lines until `end` arrives
 //                         (without it, the file is read as complete, and one
-//                         without a newline-terminated `end` line is refused)
+//                         without an `end` line is refused)
 //   --queries=PATH        query script: lines `at <time> delay|utility|replicas <id>`
 //                         or `at <time> stats`, times non-decreasing
 //   --snapshot-every=T    checkpoint every T simulated seconds

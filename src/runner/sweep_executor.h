@@ -20,7 +20,7 @@ class SweepExecutor {
   // threads <= 0 uses default_thread_count().
   explicit SweepExecutor(int threads = 1);
 
-  // One Series per spec, same shape as sim/experiment.h's sweep_load.
+  // Load sweep; x is the load, one Series per spec.
   std::vector<Series> load_sweep(const Scenario& scenario,
                                  const std::vector<double>& loads,
                                  const std::vector<RunSpec>& specs);

@@ -21,7 +21,9 @@ namespace {
 // body, little-endian) and is published with an atomic write-temp + fsync +
 // rename, so a process killed mid-snapshot can never leave a torn file that
 // parses. The loader validates the footer before reading a single field.
-constexpr std::uint32_t kSnapshotVersion = 2;
+// v3: RAPID's sections store met peers and learnt rows as sparse records,
+// and no memo key (docs/SERVICE.md).
+constexpr std::uint32_t kSnapshotVersion = 3;
 constexpr std::size_t kFooterSize = 8;
 
 [[noreturn]] void fail(const std::string& why) { throw std::runtime_error("service: " + why); }
@@ -83,12 +85,12 @@ void ServiceEngine::ingest_file_tail(const std::string& path) {
   tail_.emplace(path);
 }
 
-std::size_t ServiceEngine::poll_tail() {
+std::size_t ServiceEngine::poll_tail(bool file_complete) {
   if (!tail_) fail("poll_tail without ingest_file_tail");
   const obs::ContextScope scope(&sim_->obs());
   RAPID_OBS_PHASE(kIngest);
   tail_batch_.clear();
-  tail_->poll(tail_batch_);
+  tail_->poll(tail_batch_, file_complete);
   if (tail_->fleet() > 0 && tail_->fleet() != config_.num_nodes) {
     std::ostringstream why;
     why << "tailed trace declares fleet " << tail_->fleet() << " but the engine runs "

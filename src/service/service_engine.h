@@ -89,9 +89,10 @@ class ServiceEngine {
   // Starts tailing `path` (a rapid-trace v1 file, possibly still being
   // written). poll_tail() re-opens it, parses any complete lines appended
   // since the last poll and ingests the contacts; a partial trailing line is
-  // left pending for the next poll. Returns the number of contacts ingested.
+  // left pending for the next poll unless `file_complete` says the writer is
+  // done. Returns the number of contacts ingested.
   void ingest_file_tail(const std::string& path);
-  std::size_t poll_tail();
+  std::size_t poll_tail(bool file_complete = false);
   bool tailing() const { return tail_.has_value(); }
   // Trace-declared fleet size / day length, once the tail has seen them.
   const TraceTailCursor* tail() const { return tail_ ? &*tail_ : nullptr; }

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "dtn/workload.h"
-#include "runner/sweep_executor.h"
 
 namespace rapid {
 
@@ -262,16 +261,6 @@ SimResult run_instance(const Scenario& scenario, const Instance& instance,
   if (instance.make_model)
     return run_simulation(instance.make_model(), instance.workload, factory, sim);
   return run_simulation(instance.schedule, instance.workload, factory, sim);
-}
-
-Series sweep_load(const Scenario& scenario, const std::vector<double>& loads,
-                  const RunSpec& spec) {
-  return runner::SweepExecutor(1).load_sweep(scenario, loads, {spec})[0];
-}
-
-Series sweep_buffer(const Scenario& scenario, double load, const std::vector<Bytes>& buffers,
-                    const RunSpec& spec) {
-  return runner::SweepExecutor(1).buffer_sweep(scenario, load, buffers, {spec})[0];
 }
 
 namespace {

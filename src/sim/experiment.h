@@ -169,13 +169,6 @@ struct Series {
   std::vector<std::vector<SimResult>> cells;  // cells[i] = results at x[i]
 };
 
-// Single-protocol sweeps; both delegate to the parallel executor in
-// src/runner/ with one thread, so serial and parallel paths share one body.
-Series sweep_load(const Scenario& scenario, const std::vector<double>& loads,
-                  const RunSpec& spec);
-Series sweep_buffer(const Scenario& scenario, double load, const std::vector<Bytes>& buffers,
-                    const RunSpec& spec);
-
 // Aggregation helpers for bench output. Extractors return NaN when the run
 // carries no signal for the metric (e.g. avg delay with zero deliveries);
 // summarize_cell skips non-finite values, so a sweep over starved cells

@@ -126,6 +126,21 @@ class BinReader {
       fail(std::string("bad section tag, expected '") + t + "'");
   }
 
+  // A record count, refused above `limit` (a node count, say).
+  std::uint64_t count_at_most(std::uint64_t limit, const char* what) {
+    const std::uint64_t n = u64();
+    if (n > limit) fail(std::string(what) + " count above " + std::to_string(limit));
+    return n;
+  }
+  // The next u32 id of a list written strictly ascending (previous = -1
+  // before the first); refused unless previous < id < limit.
+  std::int32_t ascending_id(std::int32_t previous, std::int32_t limit, const char* what) {
+    const std::uint32_t id = u32();
+    if (id >= static_cast<std::uint32_t>(limit) || static_cast<std::int32_t>(id) <= previous)
+      fail(std::string(what) + " ids must ascend below " + std::to_string(limit));
+    return static_cast<std::int32_t>(id);
+  }
+
   // Reads an intern id. Returns the previously registered object for that id
   // (possibly from another router's section), or null when the id is fresh —
   // the caller must then read the body and register_interned() the result.

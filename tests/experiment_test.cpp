@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "runner/sweep_executor.h"
 #include "sim/experiment.h"
 
 namespace rapid {
@@ -94,7 +95,7 @@ TEST(Experiment, SweepLoadShape) {
   const Scenario scenario(tiny_synth_config(MobilityKind::kExponential));
   RunSpec spec;
   spec.protocol = ProtocolKind::kRandom;
-  const Series series = sweep_load(scenario, {2.0, 6.0}, spec);
+  const Series series = runner::SweepExecutor(1).load_sweep(scenario, {2.0, 6.0}, {spec})[0];
   ASSERT_EQ(series.x.size(), 2u);
   ASSERT_EQ(series.cells.size(), 2u);
   EXPECT_EQ(series.cells[0].size(), 2u);  // one per run
@@ -106,7 +107,8 @@ TEST(Experiment, SweepBufferOverridesCapacity) {
   const Scenario scenario(tiny_synth_config(MobilityKind::kPowerlaw));
   RunSpec spec;
   spec.protocol = ProtocolKind::kRapid;
-  const Series series = sweep_buffer(scenario, 10.0, {4_KB, 64_KB}, spec);
+  const Series series =
+      runner::SweepExecutor(1).buffer_sweep(scenario, 10.0, {4_KB, 64_KB}, {spec})[0];
   ASSERT_EQ(series.cells.size(), 2u);
   EXPECT_DOUBLE_EQ(series.x[0], 4.0);   // axis in KB
   EXPECT_DOUBLE_EQ(series.x[1], 64.0);

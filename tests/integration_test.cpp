@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "runner/sweep_executor.h"
 #include "sim/experiment.h"
 #include "stats/moments.h"
 #include "stats/ttest.h"
@@ -24,7 +25,7 @@ double mean_metric(const Scenario& scenario, ProtocolKind protocol, RoutingMetri
   RunSpec spec;
   spec.protocol = protocol;
   spec.metric = metric;
-  const Series series = sweep_load(scenario, {load}, spec);
+  const Series series = runner::SweepExecutor(1).load_sweep(scenario, {load}, {spec})[0];
   return summarize_cell(series.cells[0], extract).mean;
 }
 
@@ -93,7 +94,7 @@ TEST(Integration, MetadataFractionIsSmall) {
   const Scenario scenario(integration_trace());
   RunSpec spec;
   spec.protocol = ProtocolKind::kRapid;
-  const Series series = sweep_load(scenario, {4.0}, spec);
+  const Series series = runner::SweepExecutor(1).load_sweep(scenario, {4.0}, {spec})[0];
   const Summary over_capacity = summarize_cell(series.cells[0], extract_metadata_over_capacity);
   const Summary over_data = summarize_cell(series.cells[0], extract_metadata_over_data);
   EXPECT_LT(over_capacity.mean, 0.08);

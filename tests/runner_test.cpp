@@ -135,18 +135,6 @@ TEST(SweepExecutor, BufferSweepParallelBitIdenticalToSerial) {
       expect_results_identical(a.cells[i][run], b.cells[i][run]);
 }
 
-TEST(SweepExecutor, MatchesLegacySweepFunctions) {
-  const Scenario scenario(tiny_exponential_scenario());
-  RunSpec spec;
-  spec.protocol = ProtocolKind::kRapid;
-  const Series via_sweep = sweep_load(scenario, {10.0}, spec);
-  const Series via_executor =
-      runner::SweepExecutor(2).load_sweep(scenario, {10.0}, {spec})[0];
-  ASSERT_EQ(via_sweep.cells.size(), via_executor.cells.size());
-  for (std::size_t run = 0; run < via_sweep.cells[0].size(); ++run)
-    expect_results_identical(via_sweep.cells[0][run], via_executor.cells[0][run]);
-}
-
 TEST(ScenarioRegistry, LooksUpBuiltinScenarios) {
   auto& registry = runner::ScenarioRegistry::global();
   for (const char* name : {"trace", "trace-full", "exponential", "powerlaw",

@@ -9,6 +9,7 @@
 //     version tag when you do).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -240,7 +241,8 @@ TEST(ServiceEngine, TailedFileFeedsTheEngine) {
 // `rapid_bench serve` without --follow reads the trace as a complete file. A
 // feed that stops before `end` (no `end` line, and the last meet line lacks
 // its newline) is refused, as read_trace refuses it, instead of being served
-// one meeting short.
+// one meeting short; a complete file is served to its last line, newline or
+// not.
 TEST(ServiceEngine, ServeWithoutFollowRejectsATraceThatStopsBeforeEnd) {
   const std::string trace = testing::TempDir() + "/service_serve_truncated.txt";
   const std::string body =
@@ -261,18 +263,21 @@ TEST(ServiceEngine, ServeWithoutFollowRejectsATraceThatStopsBeforeEnd) {
   EXPECT_EQ(truncated_exit, 1);
   EXPECT_NE(error.find("has no complete 'end' line"), std::string::npos) << error;
 
-  // Completing the file serves both meetings.
-  std::ofstream(trace, std::ios::app | std::ios::binary) << "\nend\n";
-  testing::internal::CaptureStdout();
-  const int complete_exit = runner::run_serve_main(options);
-  const std::string output = testing::internal::GetCapturedStdout();
-  EXPECT_EQ(complete_exit, 0);
-  EXPECT_NE(output.find("meetings=2"), std::string::npos) << output;
+  // Completing the file serves both meetings, whether or not the final
+  // `end` carries its newline (read_trace accepts both).
+  for (const char* ending : {"\nend", "\nend\n"}) {
+    std::ofstream(trace, std::ios::trunc | std::ios::binary) << body << ending;
+    testing::internal::CaptureStdout();
+    const int complete_exit = runner::run_serve_main(options);
+    const std::string output = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(complete_exit, 0) << "ending " << testing::PrintToString(ending);
+    EXPECT_NE(output.find("meetings=2"), std::string::npos) << output;
+  }
 }
 
-// Freezes snapshot format v2 (CRC32-footed RSNP): any byte-level change to
-// the serialization is a format break and must bump kSnapshotVersion.
-// Regenerate deliberately:
+// Freezes snapshot format v3 (CRC32-footed RSNP, sparse RAPID sections):
+// any byte-level change to the serialization is a format break and must bump
+// kSnapshotVersion. Regenerate deliberately:
 //   RAPID_REGEN_GOLDEN=1 ./rapid_tests --gtest_filter='*GoldenSnapshot*'
 TEST(ServiceEngine, GoldenSnapshotBytesAreStable) {
   ServiceEngine engine(tiny_config(), tiny_workload());
@@ -283,7 +288,7 @@ TEST(ServiceEngine, GoldenSnapshotBytesAreStable) {
   const std::string bytes = file_bytes(path);
 
   const std::string golden_path =
-      std::string(RAPID_SOURCE_DIR) + "/tests/golden/service_snapshot_v2.bin";
+      std::string(RAPID_SOURCE_DIR) + "/tests/golden/service_snapshot_v3.bin";
   if (std::getenv("RAPID_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(golden_path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out) << "cannot write " << golden_path;
@@ -292,9 +297,36 @@ TEST(ServiceEngine, GoldenSnapshotBytesAreStable) {
   }
   ASSERT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, file_bytes(golden_path))
-      << "snapshot bytes drifted from tests/golden/service_snapshot_v2.bin "
+      << "snapshot bytes drifted from tests/golden/service_snapshot_v3.bin "
          "(format change? bump kSnapshotVersion and regenerate with "
          "RAPID_REGEN_GOLDEN=1)";
+}
+
+// A v2 file (the same engine state as the v3 golden, dense RAPID sections) is
+// CRC-valid but refused by version before any section is parsed.
+TEST(ServiceEngine, RestoreRefusesAnOlderSnapshotVersion) {
+  const std::string v2 = std::string(RAPID_SOURCE_DIR) + "/tests/golden/service_snapshot_v2.bin";
+  try {
+    ServiceEngine::restore(v2, tiny_config(), tiny_workload());
+    FAIL() << "a v2 snapshot was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot version 2 (this build reads 3)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A snapshot stores what the routers hold, so a RAPID fleet that has met no
+// one snapshots in a few bytes a node; n-length tables per router would make
+// it quadratic in the fleet (the dense layout wrote ~49 MB here).
+TEST(ServiceEngine, FreshRapidSnapshotGrowsLinearlyWithTheFleet) {
+  constexpr int kFleet = 1000;
+  ServiceConfig config = tiny_config();
+  config.num_nodes = kFleet;
+  ServiceEngine engine(config, PacketPool{});
+  const std::string path = testing::TempDir() + "/service_fresh_fleet.bin";
+  const std::uint64_t bytes = engine.snapshot(path);
+  EXPECT_LT(bytes, std::uint64_t{1000} * kFleet);
 }
 
 }  // namespace
